@@ -40,7 +40,6 @@
 #include "linalg/covariance.h"
 #include "linalg/matrix.h"
 #include "obs/perf_counters.h"
-#include "plan/plan_builder.h"
 #include "plan/plan_engine.h"
 
 namespace {
@@ -250,11 +249,11 @@ void RegisterAll(ThreadPool* pool) {
   }
 }
 
-/// --- static-plan query benches ----------------------------------------------
-/// plan_compile/qN times one full CompileQuery (filters, joins, mappings,
-/// schedule, memory plan); plan_execute/qN times one cached-plan execution;
+/// --- planned column-store query benches -------------------------------------
+/// plan_compile/qN times one access-path build (filter, join, mappings, side
+/// inputs); plan_execute/qN times one run on cached access paths;
 /// legacy_execute/qN is the per-run PrepareInputsColumnar + analytics path
-/// the plan replaces, on the same tables and kernels.
+/// the cache replaces, on the same tables and kernels.
 
 constexpr double kPlanScale = 0.02;
 
@@ -312,11 +311,11 @@ void RegisterPlanBenches() {
       PlanBench& b = PlanBench::Get();
       genbase::ExecContext ctx;
       b.engine.PrepareContext(&ctx);
+      const auto key = genbase::engine::AccessPathKey::Of(q, PlanParams());
       for (auto _ : state) {
-        auto plan = genbase::plan::CompileQuery(b.tables, q, PlanParams(),
-                                                b.engine.tracker(), &ctx);
-        GENBASE_CHECK(plan.ok());
-        benchmark::DoNotOptimize(plan);
+        auto paths = genbase::engine::BuildAccessPaths(*b.tables, key, &ctx);
+        GENBASE_CHECK(paths.ok());
+        benchmark::DoNotOptimize(paths);
       }
     });
     reg("plan_execute/" + qn, [q](benchmark::State& state) {
@@ -324,7 +323,7 @@ void RegisterPlanBenches() {
       PlanBench& b = PlanBench::Get();
       genbase::ExecContext ctx;
       b.engine.PrepareContext(&ctx);
-      // Warm the plan cache so the loop times execution, not compilation.
+      // Warm the cache so the loop times execution, not the prep build.
       GENBASE_CHECK(b.engine.RunQuery(q, PlanParams(), &ctx).ok());
       for (auto _ : state) {
         auto r = b.engine.RunQuery(q, PlanParams(), &ctx);
@@ -346,59 +345,28 @@ void RegisterPlanBenches() {
   }
 }
 
-/// Deterministic plan gates, enforced on every run (no clock involved):
-/// every compiled plan's predicted arena peak must equal the observed
-/// execute-time high-water mark, at least one of Q1–Q5 must reuse arena
-/// bytes, and the planned engine's total tracked peak must stay within a
-/// documented factor of the legacy path's.
+/// Deterministic memory gate, enforced on every run (no clock involved):
+/// the planned engine's total tracked peak must stay within a documented
+/// factor of the legacy path's.
 int RunPlanGates() {
   int failures = 0;
   PlanBench& b = PlanBench::Get();
   genbase::ExecContext ctx;
   b.engine.PrepareContext(&ctx);
-  int64_t total_reused = 0;
   for (const auto q : genbase::core::kAllQueries) {
-    auto plan = b.engine.CompileForTest(q, PlanParams(), &ctx);
-    if (!plan.ok()) {
-      std::fprintf(stderr, "GATE FAIL: plan compile %s: %s\n",
-                   genbase::core::QueryName(q),
-                   plan.status().ToString().c_str());
-      ++failures;
-      continue;
-    }
     auto r = b.engine.RunQuery(q, PlanParams(), &ctx);
     if (!r.ok()) {
       std::fprintf(stderr, "GATE FAIL: plan execute %s: %s\n",
                    genbase::core::QueryName(q),
                    r.status().ToString().c_str());
       ++failures;
-      continue;
     }
-    total_reused += (*plan)->memory_plan().reused_bytes;
-    if ((*plan)->observed_peak_bytes() !=
-        (*plan)->memory_plan().arena_bytes) {
-      std::fprintf(stderr,
-                   "GATE FAIL: %s arena peak mismatch: observed %lld vs "
-                   "predicted %lld\n",
-                   genbase::core::QueryName(q),
-                   static_cast<long long>((*plan)->observed_peak_bytes()),
-                   static_cast<long long>((*plan)->memory_plan().arena_bytes));
-      ++failures;
-    }
-  }
-  if (total_reused <= 0) {
-    std::fprintf(stderr,
-                 "GATE FAIL: no arena bytes reused across Q1-Q5 (planner "
-                 "reuse regressed)\n");
-    ++failures;
   }
   // Memory-peak gate: run the five legacy queries against the legacy
   // tracker (tables + tracked per-run temporaries), then compare engine
-  // totals. The planned engine's peak additionally holds five cached
-  // plans' statics (join index, mappings — precomputed DM state the legacy
-  // path rebuilds per run, largely through untracked std::vectors) plus
-  // their pooled arenas, so parity is not the bar; staying within 2.5x is.
-  // A planner or statics blow-up trips this long before it hurts RSS.
+  // totals. Both trackers see the same tables and per-run buffers; the
+  // 2.5x ceiling catches a per-run buffer blow-up on the cached path long
+  // before it hurts RSS.
   {
     genbase::ExecContext legacy_ctx;
     legacy_ctx.set_memory(&b.legacy_tracker);
@@ -423,16 +391,14 @@ int RunPlanGates() {
     ++failures;
   }
   if (failures == 0) {
-    std::printf("# plan gates passed: reused=%lldB peak planned=%lldB "
-                "legacy=%lldB\n",
-                static_cast<long long>(total_reused),
+    std::printf("# plan gates passed: peak planned=%lldB legacy=%lldB\n",
                 static_cast<long long>(plan_peak),
                 static_cast<long long>(legacy_peak));
   }
   return failures;
 }
 
-/// Relative planned-vs-legacy throughput gate: cached planned execution
+/// Relative planned-vs-legacy throughput gate: a run on cached access paths
 /// must not run slower than the per-run prepare+analytics path it replaces
 /// (>10% grace). Clock-dependent, so CI (--baseline) mode only; sanitizer
 /// builds skip it — instrumentation taxes the two paths asymmetrically.
@@ -685,8 +651,8 @@ int main(int argc, char** argv) {
     ++failures;
   }
 
-  // Static-plan gates: arena-peak exactness, reuse and memory ceiling are
-  // deterministic — every run; the planned-vs-legacy speed ratio is CI-only.
+  // Planned-engine memory ceiling is deterministic — every run; the
+  // planned-vs-legacy speed ratio is CI-only.
   failures += RunPlanGates();
 
   if (!baseline_path.empty()) {

@@ -90,24 +90,54 @@ genbase::Result<RegressionSummary> RegressionAnalytics(
   return s;
 }
 
-genbase::Result<RegressionSummary> RegressionAnalytics(
-    const linalg::MatrixView& design_with_intercept,
-    const std::vector<double>& y, ExecContext* ctx) {
-  RegressionSummary s;
-  s.rows = design_with_intercept.rows;
-  s.predictors = design_with_intercept.cols - 1;
-  GENBASE_ASSIGN_OR_RETURN(
-      linalg::LeastSquaresFit fit,
-      linalg::LeastSquaresQr(design_with_intercept, y, ctx));
-  s.r_squared = fit.r_squared;
-  double l2 = 0.0;
-  for (double c : fit.coefficients) l2 += c * c;
-  s.coef_l2 = std::sqrt(l2);
-  const size_t head = std::min<size_t>(8, fit.coefficients.size());
-  s.coef_head.assign(fit.coefficients.begin(),
-                     fit.coefficients.begin() + head);
+namespace {
+
+/// Writes cov's strict upper triangle row-major into `upper`
+/// (n*(n-1)/2 doubles).
+genbase::Status CovarianceExtractUpper(const linalg::MatrixView& cov,
+                                       double* upper, ExecContext* ctx) {
+  const int64_t n = cov.rows;
+  int64_t k = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    if (ctx != nullptr && (i & 255) == 0) {
+      GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
+    }
+    for (int64_t j = i + 1; j < n; ++j) upper[k++] = cov(i, j);
+  }
+  return Status::OK();
+}
+
+/// The qualifying-pair metadata join against a precomputed threshold.
+genbase::Result<CovarianceSummary> CovarianceJoinPass(
+    const linalg::MatrixView& cov, int64_t samples, double threshold,
+    const std::vector<int64_t>& gene_ids, const GeneMetaLookup& meta,
+    ExecContext* ctx) {
+  CovarianceSummary s;
+  s.samples = samples;
+  s.genes = cov.rows;
+  s.threshold = threshold;
+  // Threshold pass + metadata join for qualifying pairs.
+  const int64_t n = cov.rows;
+  for (int64_t i = 0; i < n; ++i) {
+    if (ctx != nullptr && (i & 255) == 0) {
+      GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
+    }
+    for (int64_t j = i + 1; j < n; ++j) {
+      const double c = cov(i, j);
+      if (c <= s.threshold) continue;
+      ++s.pairs_above;
+      s.cov_checksum += c;
+      int64_t func_i = 0, len_i = 0, func_j = 0, len_j = 0;
+      GENBASE_RETURN_NOT_OK(meta(gene_ids[i], &func_i, &len_i));
+      GENBASE_RETURN_NOT_OK(meta(gene_ids[j], &func_j, &len_j));
+      s.meta_checksum += static_cast<double>(func_i + func_j) +
+                         1e-3 * static_cast<double>(len_i + len_j);
+    }
+  }
   return s;
 }
+
+}  // namespace
 
 genbase::Result<CovarianceSummary> CovarianceAnalytics(
     const linalg::MatrixView& x, const std::vector<int64_t>& gene_ids,
@@ -140,48 +170,6 @@ genbase::Result<CovarianceSummary> CovarianceThresholdJoin(
                            stats::Quantile(upper, quantile));
   return CovarianceJoinPass(cov_view, samples, threshold, gene_ids, meta,
                             ctx);
-}
-
-genbase::Status CovarianceExtractUpper(const linalg::MatrixView& cov,
-                                       double* upper, ExecContext* ctx) {
-  const int64_t n = cov.rows;
-  int64_t k = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    if (ctx != nullptr && (i & 255) == 0) {
-      GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
-    }
-    for (int64_t j = i + 1; j < n; ++j) upper[k++] = cov(i, j);
-  }
-  return Status::OK();
-}
-
-genbase::Result<CovarianceSummary> CovarianceJoinPass(
-    const linalg::MatrixView& cov, int64_t samples, double threshold,
-    const std::vector<int64_t>& gene_ids, const GeneMetaLookup& meta,
-    ExecContext* ctx) {
-  CovarianceSummary s;
-  s.samples = samples;
-  s.genes = cov.rows;
-  s.threshold = threshold;
-  // Threshold pass + metadata join for qualifying pairs.
-  const int64_t n = cov.rows;
-  for (int64_t i = 0; i < n; ++i) {
-    if (ctx != nullptr && (i & 255) == 0) {
-      GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
-    }
-    for (int64_t j = i + 1; j < n; ++j) {
-      const double c = cov(i, j);
-      if (c <= s.threshold) continue;
-      ++s.pairs_above;
-      s.cov_checksum += c;
-      int64_t func_i = 0, len_i = 0, func_j = 0, len_j = 0;
-      GENBASE_RETURN_NOT_OK(meta(gene_ids[i], &func_i, &len_i));
-      GENBASE_RETURN_NOT_OK(meta(gene_ids[j], &func_j, &len_j));
-      s.meta_checksum += static_cast<double>(func_i + func_j) +
-                         1e-3 * static_cast<double>(len_i + len_j);
-    }
-  }
-  return s;
 }
 
 genbase::Result<BiclusterSummary> BiclusterAnalytics(
@@ -243,15 +231,7 @@ genbase::Result<StatsSummary> StatsAnalytics(
     const std::vector<double>& gene_scores,
     const std::vector<std::vector<int64_t>>& memberships,
     double significance, ExecContext* ctx) {
-  return StatsAnalytics(gene_scores.data(),
-                        static_cast<int64_t>(gene_scores.size()), memberships,
-                        significance, ctx);
-}
-
-genbase::Result<StatsSummary> StatsAnalytics(
-    const double* gene_scores, int64_t count,
-    const std::vector<std::vector<int64_t>>& memberships,
-    double significance, ExecContext* ctx) {
+  const int64_t count = static_cast<int64_t>(gene_scores.size());
   StatsSummary s;
   s.genes_ranked = count;
   // The group mask is reused across terms; charge its packed-bit footprint
@@ -270,7 +250,7 @@ genbase::Result<StatsSummary> StatsAnalytics(
     for (int64_t g : members) mask[static_cast<size_t>(g)] = true;
     GENBASE_ASSIGN_OR_RETURN(
         stats::RankSumResult r,
-        stats::WilcoxonRankSum(gene_scores, count, mask));
+        stats::WilcoxonRankSum(gene_scores, mask));
     ++s.terms_tested;
     if (r.p_two_sided < significance) ++s.significant_terms;
     s.z_abs_sum += std::fabs(r.z);

@@ -126,13 +126,6 @@ genbase::Result<RegressionSummary> RegressionAnalytics(
     linalg::Matrix design_with_intercept, const std::vector<double>& y,
     ExecContext* ctx);
 
-/// View overload for a design matrix living in externally planned storage
-/// (the static-plan arena). Identical arithmetic to the consuming overload,
-/// so summaries are bitwise identical.
-genbase::Result<RegressionSummary> RegressionAnalytics(
-    const linalg::MatrixView& design_with_intercept,
-    const std::vector<double>& y, ExecContext* ctx);
-
 /// Lookup used by Q2's metadata join: gene id -> (function, length).
 using GeneMetaLookup =
     std::function<genbase::Status(int64_t gene_id, int64_t* function,
@@ -154,21 +147,6 @@ genbase::Result<CovarianceSummary> CovarianceThresholdJoin(
     const std::vector<int64_t>& gene_ids, const GeneMetaLookup& meta,
     double quantile, ExecContext* ctx);
 
-/// Q2's upper-triangle extraction alone: writes cov's strict upper triangle
-/// row-major into `upper` (n*(n-1)/2 doubles, caller-provided). One of the
-/// CovarianceThresholdJoin building blocks; the static-plan path schedules
-/// it as its own operator with `upper` in the arena.
-genbase::Status CovarianceExtractUpper(const linalg::MatrixView& cov,
-                                       double* upper, ExecContext* ctx);
-
-/// Q2's qualifying-pair metadata join alone, against a precomputed
-/// threshold. Fills the full summary (samples/genes/threshold come from the
-/// arguments). The other CovarianceThresholdJoin building block.
-genbase::Result<CovarianceSummary> CovarianceJoinPass(
-    const linalg::MatrixView& cov, int64_t samples, double threshold,
-    const std::vector<int64_t>& gene_ids, const GeneMetaLookup& meta,
-    ExecContext* ctx);
-
 /// Q3 analytics: Cheng-Church with delta = fraction * MSR(full matrix).
 /// `pass_hook` (optional) is invoked once per algorithm pass; engines whose
 /// analytics interface has per-invocation overhead charge it there.
@@ -187,13 +165,6 @@ genbase::Result<SvdSummary> SvdAnalytics(const linalg::MatrixView& x,
 /// memberships[t] lists gene indices (0..genes-1) belonging to term t.
 genbase::Result<StatsSummary> StatsAnalytics(
     const std::vector<double>& gene_scores,
-    const std::vector<std::vector<int64_t>>& memberships,
-    double significance, ExecContext* ctx);
-
-/// Span overload for scores living in externally planned storage (the
-/// static-plan arena); the vector overload forwards here.
-genbase::Result<StatsSummary> StatsAnalytics(
-    const double* gene_scores, int64_t count,
     const std::vector<std::vector<int64_t>>& memberships,
     double significance, ExecContext* ctx);
 

@@ -13,7 +13,8 @@
 namespace genbase::engine {
 
 genbase::Result<core::QueryResult> RunStandardAnalytics(
-    core::QueryId query, QueryInputs inputs, const core::QueryParams& params,
+    core::QueryId query, const SideInputs& side, linalg::Matrix x,
+    const std::vector<double>& scores, const core::QueryParams& params,
     linalg::KernelQuality quality, ExecContext* ctx,
     std::function<genbase::Status()> bicluster_pass_hook) {
   core::QueryResult out;
@@ -21,26 +22,16 @@ genbase::Result<core::QueryResult> RunStandardAnalytics(
   ScopedPhase an(ctx, Phase::kAnalytics);
   switch (query) {
     case core::QueryId::kRegression: {
-      MemoryTracker* tracker = ctx != nullptr ? ctx->memory() : nullptr;
-      GENBASE_ASSIGN_OR_RETURN(
-          linalg::Matrix design,
-          linalg::Matrix::Create(inputs.x.rows(), inputs.x.cols() + 1,
-                                 tracker));
-      for (int64_t i = 0; i < inputs.x.rows(); ++i) {
-        design(i, 0) = 1.0;
-        std::copy(inputs.x.Row(i), inputs.x.Row(i) + inputs.x.cols(),
-                  design.Row(i) + 1);
-      }
       GENBASE_ASSIGN_OR_RETURN(
           out.regression,
-          core::RegressionAnalytics(std::move(design), inputs.y, ctx));
+          core::RegressionAnalytics(std::move(x), side.y, ctx));
       return out;
     }
     case core::QueryId::kCovariance: {
       GENBASE_ASSIGN_OR_RETURN(
           out.covariance,
-          core::CovarianceAnalytics(linalg::MatrixView(inputs.x),
-                                    inputs.col_ids, inputs.meta,
+          core::CovarianceAnalytics(linalg::MatrixView(x), side.col_ids,
+                                    side.meta,
                                     params.covariance_quantile, quality,
                                     ctx));
       return out;
@@ -48,7 +39,7 @@ genbase::Result<core::QueryResult> RunStandardAnalytics(
     case core::QueryId::kBiclustering: {
       GENBASE_ASSIGN_OR_RETURN(
           out.bicluster,
-          core::BiclusterAnalytics(linalg::MatrixView(inputs.x),
+          core::BiclusterAnalytics(linalg::MatrixView(x),
                                    params.bicluster_delta_fraction,
                                    params.bicluster_count, ctx,
                                    std::move(bicluster_pass_hook)));
@@ -56,20 +47,46 @@ genbase::Result<core::QueryResult> RunStandardAnalytics(
     }
     case core::QueryId::kSvd: {
       GENBASE_ASSIGN_OR_RETURN(
-          out.svd, core::SvdAnalytics(linalg::MatrixView(inputs.x),
+          out.svd, core::SvdAnalytics(linalg::MatrixView(x),
                                       params.svd_rank, quality, ctx));
       return out;
     }
     case core::QueryId::kStatistics: {
       GENBASE_ASSIGN_OR_RETURN(
           out.stats,
-          core::StatsAnalytics(inputs.scores, inputs.memberships,
-                               params.significance, ctx));
-      out.stats.samples = inputs.sample_count;
+          core::StatsAnalytics(scores, side.memberships, params.significance,
+                               ctx));
+      out.stats.samples = side.sample_count;
       return out;
     }
   }
   return genbase::Status::InvalidArgument("unknown query");
+}
+
+genbase::Result<core::QueryResult> RunStandardAnalytics(
+    core::QueryId query, QueryInputs inputs, const core::QueryParams& params,
+    linalg::KernelQuality quality, ExecContext* ctx,
+    std::function<genbase::Status()> bicluster_pass_hook) {
+  linalg::Matrix x = std::move(inputs.x);
+  if (query != core::QueryId::kRegression) {
+    return RunStandardAnalytics(query, inputs, std::move(x), inputs.scores,
+                                params, quality, ctx,
+                                std::move(bicluster_pass_hook));
+  }
+  // The model.matrix step: prepend the intercept column to X.
+  linalg::Matrix design;
+  {
+    ScopedPhase an(ctx, Phase::kAnalytics);
+    MemoryTracker* tracker = ctx != nullptr ? ctx->memory() : nullptr;
+    GENBASE_ASSIGN_OR_RETURN(
+        design, linalg::Matrix::Create(x.rows(), x.cols() + 1, tracker));
+    for (int64_t i = 0; i < x.rows(); ++i) {
+      design(i, 0) = 1.0;
+      std::copy(x.Row(i), x.Row(i) + x.cols(), design.Row(i) + 1);
+    }
+  }
+  return RunStandardAnalytics(query, inputs, std::move(design), inputs.scores,
+                              params, quality, ctx);
 }
 
 genbase::Result<linalg::Matrix> CsvRoundTripMatrix(
@@ -214,42 +231,14 @@ genbase::Status LoadColumnarTables(const core::GenBaseData& data,
 namespace {
 
 using core::GeneCols;
-using core::GoCols;
 using core::MicroarrayCols;
 using core::PatientCols;
+using core::QueryId;
 using relational::ColumnPredicate;
-using relational::DenseMapping;
 using relational::FilterColumns;
 using relational::HashJoinIndicesFiltered;
-using relational::JoinIndex;
 using relational::MakeDenseMapping;
-
-/// Restructures matched microarray triples (by join index) into a dense
-/// matrix: the relational -> array conversion every non-array engine pays.
-genbase::Result<linalg::Matrix> RestructureJoined(
-    const storage::ColumnTable& microarray, const JoinIndex& join,
-    const DenseMapping& row_map, const DenseMapping& col_map,
-    ExecContext* ctx) {
-  MemoryTracker* tracker = ctx != nullptr ? ctx->memory() : nullptr;
-  GENBASE_ASSIGN_OR_RETURN(
-      linalg::Matrix m,
-      linalg::Matrix::Create(row_map.size(), col_map.size(), tracker));
-  const auto& pid = microarray.IntColumn(MicroarrayCols::kPatientId);
-  const auto& gid = microarray.IntColumn(MicroarrayCols::kGeneId);
-  const auto& expr = microarray.DoubleColumn(MicroarrayCols::kExpr);
-  for (size_t k = 0; k < join.right.size(); ++k) {
-    if (ctx != nullptr && (k & 262143) == 0) {
-      GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
-    }
-    const int64_t row = join.right[k];
-    const auto rit = row_map.index.find(pid[static_cast<size_t>(row)]);
-    if (rit == row_map.index.end()) continue;
-    const auto cit = col_map.index.find(gid[static_cast<size_t>(row)]);
-    if (cit == col_map.index.end()) continue;
-    m(rit->second, cit->second) = expr[static_cast<size_t>(row)];
-  }
-  return m;
-}
+using storage::Value;
 
 std::vector<int64_t> GatherIds(const std::vector<int64_t>& ids,
                                const std::vector<int64_t>& selection) {
@@ -261,133 +250,195 @@ std::vector<int64_t> GatherIds(const std::vector<int64_t>& ids,
 
 }  // namespace
 
-genbase::Result<QueryInputs> PrepareInputsColumnar(
-    const ColumnarTables& tables, core::QueryId query,
-    const core::QueryParams& params, ExecContext* ctx) {
-  using storage::Value;
-  QueryInputs in;
+AccessPathKey AccessPathKey::Of(core::QueryId query,
+                                const core::QueryParams& params) {
+  AccessPathKey key;
+  key.query = query;
+  switch (query) {
+    case QueryId::kRegression:
+    case QueryId::kSvd:
+      key.function_threshold = params.function_threshold;
+      break;
+    case QueryId::kCovariance:
+      key.disease_id = params.disease_id;
+      break;
+    case QueryId::kBiclustering:
+      key.gender = params.gender;
+      key.max_age = params.max_age;
+      break;
+    case QueryId::kStatistics:
+      key.sample_fraction = params.sample_fraction;
+      break;
+  }
+  return key;
+}
+
+genbase::Result<AccessPaths> BuildAccessPaths(const ColumnarTables& tables,
+                                              const AccessPathKey& key,
+                                              ExecContext* ctx) {
+  AccessPaths p;
   ScopedPhase dm(ctx, Phase::kDataManagement);
   MemoryTracker* tracker = ctx != nullptr ? ctx->memory() : nullptr;
 
-  switch (query) {
-    case core::QueryId::kRegression:
-    case core::QueryId::kSvd: {
-      // Filter genes by function, join with microarray, restructure.
+  switch (key.query) {
+    case QueryId::kRegression:
+    case QueryId::kSvd: {
+      // Filter genes by function, join with microarray.
       GENBASE_ASSIGN_OR_RETURN(
           std::vector<int64_t> gene_sel,
           FilterColumns(tables.genes,
                         {ColumnPredicate::Lt(
                             GeneCols::kFunction,
-                            Value::Int(params.function_threshold))},
+                            Value::Int(key.function_threshold))},
                         ctx));
-      in.col_ids = GatherIds(tables.genes.IntColumn(GeneCols::kGeneId),
-                             gene_sel);
+      p.col_ids = GatherIds(tables.genes.IntColumn(GeneCols::kGeneId),
+                            gene_sel);
       GENBASE_ASSIGN_OR_RETURN(
-          JoinIndex join,
+          p.join,
           HashJoinIndicesFiltered(tables.genes, GeneCols::kGeneId, gene_sel,
                                   tables.microarray, MicroarrayCols::kGeneId,
                                   ctx, tracker));
-      in.row_ids = tables.patients.IntColumn(PatientCols::kPatientId);
-      std::sort(in.row_ids.begin(), in.row_ids.end());
-      const DenseMapping row_map = MakeDenseMapping(in.row_ids);
-      const DenseMapping col_map = MakeDenseMapping(in.col_ids);
-      in.col_ids = col_map.ids;
-      GENBASE_ASSIGN_OR_RETURN(
-          in.x, RestructureJoined(tables.microarray, join, row_map, col_map,
-                                  ctx));
-      if (query == core::QueryId::kRegression) {
+      p.row_ids = tables.patients.IntColumn(PatientCols::kPatientId);
+      std::sort(p.row_ids.begin(), p.row_ids.end());
+      p.row_map = MakeDenseMapping(p.row_ids);
+      p.col_map = MakeDenseMapping(p.col_ids);
+      p.col_ids = p.col_map.ids;
+      if (key.query == QueryId::kRegression) {
         // Project the drug response aligned to the row mapping.
-        in.y.assign(static_cast<size_t>(row_map.size()), 0.0);
+        p.y.assign(static_cast<size_t>(p.row_map.size()), 0.0);
         const auto& pid = tables.patients.IntColumn(PatientCols::kPatientId);
         const auto& resp =
             tables.patients.DoubleColumn(PatientCols::kDrugResponse);
         for (size_t i = 0; i < pid.size(); ++i) {
-          const auto it = row_map.index.find(pid[i]);
-          if (it != row_map.index.end()) {
-            in.y[static_cast<size_t>(it->second)] = resp[i];
+          const auto it = p.row_map.index.find(pid[i]);
+          if (it != p.row_map.index.end()) {
+            p.y[static_cast<size_t>(it->second)] = resp[i];
           }
         }
       }
-      return in;
+      return p;
     }
-    case core::QueryId::kCovariance:
-    case core::QueryId::kBiclustering: {
+    case QueryId::kCovariance:
+    case QueryId::kBiclustering: {
       std::vector<ColumnPredicate> preds;
-      if (query == core::QueryId::kCovariance) {
+      if (key.query == QueryId::kCovariance) {
         preds = {ColumnPredicate::Eq(PatientCols::kDiseaseId,
-                                     Value::Int(params.disease_id))};
+                                     Value::Int(key.disease_id))};
       } else {
-        preds = {
-            ColumnPredicate::Eq(PatientCols::kGender,
-                                Value::Int(params.gender)),
-            ColumnPredicate::Lt(PatientCols::kAge,
-                                Value::Int(params.max_age))};
+        preds = {ColumnPredicate::Eq(PatientCols::kGender,
+                                     Value::Int(key.gender)),
+                 ColumnPredicate::Lt(PatientCols::kAge,
+                                     Value::Int(key.max_age))};
       }
       GENBASE_ASSIGN_OR_RETURN(std::vector<int64_t> patient_sel,
                                FilterColumns(tables.patients, preds, ctx));
-      in.row_ids = GatherIds(
+      p.row_ids = GatherIds(
           tables.patients.IntColumn(PatientCols::kPatientId), patient_sel);
       GENBASE_ASSIGN_OR_RETURN(
-          JoinIndex join,
+          p.join,
           HashJoinIndicesFiltered(tables.patients, PatientCols::kPatientId,
                                   patient_sel, tables.microarray,
                                   MicroarrayCols::kPatientId, ctx, tracker));
-      in.col_ids = tables.genes.IntColumn(GeneCols::kGeneId);
-      std::sort(in.col_ids.begin(), in.col_ids.end());
-      const DenseMapping row_map = MakeDenseMapping(in.row_ids);
-      const DenseMapping col_map = MakeDenseMapping(in.col_ids);
-      in.row_ids = row_map.ids;
-      GENBASE_ASSIGN_OR_RETURN(
-          in.x, RestructureJoined(tables.microarray, join, row_map, col_map,
-                                  ctx));
-      if (query == core::QueryId::kCovariance) {
-        in.meta = MakeColumnarMetaLookup(tables.genes);
+      p.col_ids = tables.genes.IntColumn(GeneCols::kGeneId);
+      std::sort(p.col_ids.begin(), p.col_ids.end());
+      p.row_map = MakeDenseMapping(p.row_ids);
+      p.col_map = MakeDenseMapping(p.col_ids);
+      p.row_ids = p.row_map.ids;
+      if (key.query == QueryId::kCovariance) {
+        p.meta = MakeColumnarMetaLookup(tables.genes);
       }
-      return in;
+      return p;
     }
-    case core::QueryId::kStatistics: {
+    case QueryId::kStatistics: {
       const int64_t k =
-          core::SampleCount(tables.dims.patients, params.sample_fraction);
+          core::SampleCount(tables.dims.patients, key.sample_fraction);
       GENBASE_ASSIGN_OR_RETURN(
           std::vector<int64_t> patient_sel,
           FilterColumns(tables.patients,
                         {ColumnPredicate::Lt(PatientCols::kPatientId,
                                              Value::Int(k))},
                         ctx));
-      in.sample_count = static_cast<int64_t>(patient_sel.size());
+      p.sample_count = static_cast<int64_t>(patient_sel.size());
       GENBASE_ASSIGN_OR_RETURN(
-          JoinIndex join,
+          p.join,
           HashJoinIndicesFiltered(tables.patients, PatientCols::kPatientId,
                                   patient_sel, tables.microarray,
                                   MicroarrayCols::kPatientId, ctx, tracker));
-      // Mean expression per gene over the sample (vectorized aggregate).
-      const DenseMapping gene_map = MakeDenseMapping(
-          tables.genes.IntColumn(GeneCols::kGeneId));
-      in.scores.assign(static_cast<size_t>(gene_map.size()), 0.0);
-      const auto& gid = tables.microarray.IntColumn(MicroarrayCols::kGeneId);
-      const auto& expr =
-          tables.microarray.DoubleColumn(MicroarrayCols::kExpr);
-      for (size_t idx = 0; idx < join.right.size(); ++idx) {
-        if (ctx != nullptr && (idx & 262143) == 0) {
-          GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
-        }
-        const int64_t row = join.right[idx];
-        const auto it = gene_map.index.find(gid[static_cast<size_t>(row)]);
-        if (it != gene_map.index.end()) {
-          in.scores[static_cast<size_t>(it->second)] +=
-              expr[static_cast<size_t>(row)];
-        }
-      }
-      const double inv = in.sample_count > 0
-                             ? 1.0 / static_cast<double>(in.sample_count)
-                             : 0.0;
-      for (auto& s : in.scores) s *= inv;
-      in.memberships =
+      // The per-gene aggregate target (gene id -> score slot).
+      p.col_map = MakeDenseMapping(tables.genes.IntColumn(GeneCols::kGeneId));
+      p.memberships =
           BuildMembershipsColumnar(tables.ontology, tables.dims.go_terms);
-      return in;
+      return p;
     }
   }
   return genbase::Status::InvalidArgument("unknown query");
+}
+
+genbase::Status MaterializeInputs(const ColumnarTables& tables,
+                                  core::QueryId query,
+                                  const AccessPaths& paths, bool q1_design,
+                                  ExecContext* ctx, linalg::Matrix* x,
+                                  std::vector<double>* scores) {
+  ScopedPhase dm(ctx, Phase::kDataManagement);
+  const auto& gid = tables.microarray.IntColumn(MicroarrayCols::kGeneId);
+  const auto& expr = tables.microarray.DoubleColumn(MicroarrayCols::kExpr);
+  const std::vector<int64_t>& rows = paths.join.right;
+  if (query == QueryId::kStatistics) {
+    // Mean expression per gene over the sample (vectorized aggregate).
+    scores->assign(static_cast<size_t>(paths.col_map.size()), 0.0);
+    for (size_t k = 0; k < rows.size(); ++k) {
+      if (ctx != nullptr && (k & 262143) == 0) {
+        GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
+      }
+      const size_t row = static_cast<size_t>(rows[k]);
+      const auto it = paths.col_map.index.find(gid[row]);
+      if (it != paths.col_map.index.end()) {
+        (*scores)[static_cast<size_t>(it->second)] += expr[row];
+      }
+    }
+    const double inv = paths.sample_count > 0
+                           ? 1.0 / static_cast<double>(paths.sample_count)
+                           : 0.0;
+    for (auto& s : *scores) s *= inv;
+    return genbase::Status::OK();
+  }
+  // Restructure the matched microarray triples into a dense matrix: the
+  // relational -> array conversion every non-array engine pays.
+  const int64_t offset = q1_design && query == QueryId::kRegression ? 1 : 0;
+  MemoryTracker* tracker = ctx != nullptr ? ctx->memory() : nullptr;
+  GENBASE_ASSIGN_OR_RETURN(
+      *x, linalg::Matrix::Create(paths.row_map.size(),
+                                 paths.col_map.size() + offset, tracker));
+  if (offset == 1) {
+    for (int64_t i = 0; i < x->rows(); ++i) (*x)(i, 0) = 1.0;
+  }
+  const auto& pid = tables.microarray.IntColumn(MicroarrayCols::kPatientId);
+  for (size_t k = 0; k < rows.size(); ++k) {
+    if (ctx != nullptr && (k & 262143) == 0) {
+      GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
+    }
+    const size_t row = static_cast<size_t>(rows[k]);
+    const auto rit = paths.row_map.index.find(pid[row]);
+    if (rit == paths.row_map.index.end()) continue;
+    const auto cit = paths.col_map.index.find(gid[row]);
+    if (cit == paths.col_map.index.end()) continue;
+    (*x)(rit->second, offset + cit->second) = expr[row];
+  }
+  return genbase::Status::OK();
+}
+
+genbase::Result<QueryInputs> PrepareInputsColumnar(
+    const ColumnarTables& tables, core::QueryId query,
+    const core::QueryParams& params, ExecContext* ctx) {
+  GENBASE_ASSIGN_OR_RETURN(
+      AccessPaths paths,
+      BuildAccessPaths(tables, AccessPathKey::Of(query, params), ctx));
+  QueryInputs in;
+  GENBASE_RETURN_NOT_OK(
+      MaterializeInputs(tables, query, paths, /*q1_design=*/false, ctx,
+                        &in.x, &in.scores));
+  static_cast<SideInputs&>(in) = std::move(static_cast<SideInputs&>(paths));
+  return in;
 }
 
 }  // namespace genbase::engine

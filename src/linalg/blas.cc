@@ -467,19 +467,6 @@ genbase::Status SyrkCentered(const MatrixView& a, const double* col_means,
   return Status::OK();
 }
 
-genbase::Status SyrkCentered(const MatrixView& a, const double* col_means,
-                             double* c, ThreadPool* pool, ExecContext* ctx) {
-  const int64_t n = a.cols;
-  std::fill_n(c, static_cast<size_t>(n * n), 0.0);
-  GENBASE_RETURN_NOT_OK(PackedGemm(
-      n, n, a.rows, a.data, a.stride, /*a_trans=*/true, col_means, a.data,
-      a.stride, col_means, c, n, /*upper_only=*/true, pool, ctx));
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = i + 1; j < n; ++j) c[j * n + i] = c[i * n + j];
-  }
-  return Status::OK();
-}
-
 genbase::Status GemmNaive(const MatrixView& a, const MatrixView& b, Matrix* c,
                           ExecContext* ctx) {
   if (a.cols != b.rows || c->rows() != a.rows || c->cols() != b.cols) {

@@ -58,13 +58,6 @@ genbase::Status SyrkCentered(const MatrixView& a, const double* col_means,
                              Matrix* c, ThreadPool* pool = nullptr,
                              ExecContext* ctx = nullptr);
 
-/// Raw-buffer SyrkCentered: `c` points at an a.cols x a.cols row-major
-/// buffer in externally planned storage (the static-plan arena). Identical
-/// kernel path to the Matrix overload, so results are bitwise identical.
-genbase::Status SyrkCentered(const MatrixView& a, const double* col_means,
-                             double* c, ThreadPool* pool = nullptr,
-                             ExecContext* ctx = nullptr);
-
 /// Deliberately unoptimized ijk triple loop with column-strided access to B,
 /// single threaded. This is the "Mahout: no sophisticated linear algebra
 /// package" path the paper blames for Hadoop's analytics numbers. Kept

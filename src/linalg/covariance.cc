@@ -9,18 +9,13 @@ namespace genbase::linalg {
 
 std::vector<double> ColumnMeans(const MatrixView& x) {
   std::vector<double> means(static_cast<size_t>(x.cols), 0.0);
-  ColumnMeansInto(x, means.data());
-  return means;
-}
-
-void ColumnMeansInto(const MatrixView& x, double* means) {
-  std::fill_n(means, static_cast<size_t>(x.cols), 0.0);
   for (int64_t i = 0; i < x.rows; ++i) {
     const double* row = x.data + i * x.stride;
     for (int64_t j = 0; j < x.cols; ++j) means[j] += row[j];
   }
   const double inv = x.rows > 0 ? 1.0 / static_cast<double>(x.rows) : 0.0;
-  for (int64_t j = 0; j < x.cols; ++j) means[j] *= inv;
+  for (auto& m : means) m *= inv;
+  return means;
 }
 
 genbase::Result<Matrix> CovarianceMatrix(const MatrixView& x,

@@ -23,11 +23,6 @@ genbase::Result<Matrix> CovarianceMatrix(const MatrixView& x,
 /// \brief Column means of x, length n.
 std::vector<double> ColumnMeans(const MatrixView& x);
 
-/// \brief Column means into a caller-provided buffer of x.cols doubles
-/// (externally planned storage; same accumulation order as ColumnMeans, so
-/// results are bitwise identical).
-void ColumnMeansInto(const MatrixView& x, double* means);
-
 }  // namespace genbase::linalg
 
 #endif  // GENBASE_LINALG_COVARIANCE_H_

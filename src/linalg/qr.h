@@ -78,9 +78,9 @@ genbase::Result<LeastSquaresFit> LeastSquaresQr(Matrix a,
                                                 const std::vector<double>& b,
                                                 ExecContext* ctx = nullptr);
 
-/// View overload for callers whose design matrix lives in externally planned
-/// storage (the static-plan arena). Same arithmetic order as the consuming
-/// overload, so results are bitwise identical.
+/// View overload for callers that keep their design matrix (A is not
+/// consumed). Same arithmetic order as the consuming overload, so results
+/// are bitwise identical.
 genbase::Result<LeastSquaresFit> LeastSquaresQr(const MatrixView& a,
                                                 const std::vector<double>& b,
                                                 ExecContext* ctx = nullptr);

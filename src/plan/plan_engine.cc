@@ -1,45 +1,91 @@
 #include "plan/plan_engine.h"
 
+#include <future>
+#include <map>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plan/plan_stats.h"
-#include "serving/result_cache.h"
 
 namespace genbase::plan {
+
+using PathsResult = genbase::Result<std::shared_ptr<const engine::AccessPaths>>;
+
+struct PlanEngine::State {
+  engine::ColumnarTables tables;
+
+  /// Single-flight cache: the first requester of a key builds the access
+  /// paths; concurrent requesters wait on its future and share the result.
+  /// A failed build erases its slot before publishing, so waiters retry
+  /// under their own budgets instead of inheriting the error.
+  std::mutex mu;
+  std::map<engine::AccessPathKey, std::shared_future<PathsResult>> slots;
+
+  PathsResult GetOrBuild(const engine::AccessPathKey& key, ExecContext* ctx);
+};
+
+PathsResult PlanEngine::State::GetOrBuild(const engine::AccessPathKey& key,
+                                          ExecContext* ctx) {
+  for (;;) {
+    std::optional<std::promise<PathsResult>> promise;
+    std::shared_future<PathsResult> future;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      auto [it, inserted] = slots.try_emplace(key);
+      if (inserted) it->second = promise.emplace().get_future().share();
+      future = it->second;
+    }
+    if (!promise.has_value()) {
+      const PathsResult& shared = future.get();
+      if (!shared.ok()) continue;
+      PlanMetrics::Get().cache_hits->Inc();
+      return shared;
+    }
+    obs::ScopedSpan span("plan.compile");
+    span.SetDetail(core::QueryName(key.query));
+    WallTimer timer;
+    genbase::Result<engine::AccessPaths> built =
+        engine::BuildAccessPaths(tables, key, ctx);
+    PathsResult result =
+        built.ok() ? PathsResult(std::make_shared<const engine::AccessPaths>(
+                         std::move(built).ValueOrDie()))
+                   : PathsResult(built.status());
+    if (result.ok()) {
+      PlanMetrics& m = PlanMetrics::Get();
+      m.compiles->Inc();
+      m.compile_ns->Inc(static_cast<int64_t>(timer.Seconds() * 1e9));
+    } else {
+      std::lock_guard<std::mutex> lock(mu);
+      slots.erase(key);
+    }
+    promise->set_value(result);
+    return result;
+  }
+}
 
 PlanEngine::PlanEngine()
     : tracker_(MemoryTracker::kUnlimited, "PlanStore") {}
 
 genbase::Status PlanEngine::DoLoadDataset(const core::GenBaseData& data) {
   DoUnloadDataset();
-  auto tables = std::make_shared<engine::ColumnarTables>();
+  auto state = std::make_shared<State>();
   GENBASE_RETURN_NOT_OK(
-      engine::LoadColumnarTables(data, &tracker_, tables.get()));
-  {
-    std::lock_guard<std::mutex> lock(tables_mu_);
-    tables_ = std::move(tables);
-    // Read the epoch AFTER the swap, inside the lock: LoadDataset bumps the
-    // epoch before calling us, so any snapshot pairing these tables with
-    // this epoch is consistent (a concurrent reload re-enters here and
-    // overwrites both together).
-    tables_epoch_ = dataset_epoch();
-  }
+      engine::LoadColumnarTables(data, &tracker_, &state->tables));
+  std::lock_guard<std::mutex> lock(mu_);
+  state_ = std::move(state);
   return genbase::Status::OK();
 }
 
 void PlanEngine::DoUnloadDataset() {
-  {
-    std::lock_guard<std::mutex> lock(tables_mu_);
-    tables_.reset();
-    tables_epoch_ = 0;
-  }
-  // No tracker_.Reset(): in-flight executions may still pin the previous
-  // tables via their plans' shared_ptr; their reservations release when the
-  // last plan reference drops, keeping the accounting balanced.
-  cache_.Clear();
+  // No tracker_.Reset(): in-flight queries may still pin the previous state;
+  // its reservations release when the last reference drops, keeping the
+  // accounting balanced.
+  std::lock_guard<std::mutex> lock(mu_);
+  state_.reset();
 }
 
 void PlanEngine::PrepareContext(ExecContext* ctx) {
@@ -47,69 +93,38 @@ void PlanEngine::PrepareContext(ExecContext* ctx) {
   ctx->set_pool(nullptr);
 }
 
-PlanEngine::TablesSnapshot PlanEngine::Snapshot() const {
-  std::lock_guard<std::mutex> lock(tables_mu_);
-  return {tables_, tables_epoch_};
+std::shared_ptr<PlanEngine::State> PlanEngine::Snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return state_;
 }
 
-genbase::Result<std::shared_ptr<CompiledPlan>> PlanEngine::GetPlan(
-    core::QueryId query, const core::QueryParams& params,
-    const TablesSnapshot& snap, ExecContext* ctx, bool* cache_hit) {
-  cache_.EvictEpochsBelow(snap.epoch);
-  PlanKey key;
-  key.query = query;
-  key.params_fingerprint = serving::FingerprintParams(params);
-  key.epoch = snap.epoch;
-  auto result = cache_.GetOrCompile(
-      key,
-      [this, &snap, query, &params, ctx]()
-          -> genbase::Result<std::shared_ptr<CompiledPlan>> {
-        // Compile counts as data management: it subsumes the filter, join
-        // and mapping work the legacy path pays there on every run.
-        ScopedPhase dm(ctx, Phase::kDataManagement);
-        obs::ScopedSpan span("plan.compile");
-        span.SetDetail(core::QueryName(query));
-        WallTimer timer;
-        GENBASE_ASSIGN_OR_RETURN(
-            std::shared_ptr<CompiledPlan> plan,
-            CompileQuery(snap.tables, query, params, &tracker_, ctx));
-        plan->set_compile_ns(
-            static_cast<int64_t>(timer.Seconds() * 1e9));
-        PlanMetrics& m = PlanMetrics::Get();
-        m.compiles->Inc();
-        m.compile_ns->Inc(plan->compile_ns());
-        m.reused_bytes->Inc(plan->memory_plan().reused_bytes);
-        m.predicted_peak_bytes->SetMax(
-            static_cast<double>(plan->memory_plan().arena_bytes));
-        return plan;
-      },
-      cache_hit);
-  if (result.ok() && cache_hit != nullptr && *cache_hit) {
-    PlanMetrics::Get().cache_hits->Inc();
-  }
-  return result;
+int64_t PlanEngine::cached_entries() const {
+  const std::shared_ptr<State> state = Snapshot();
+  if (state == nullptr) return 0;
+  std::lock_guard<std::mutex> lock(state->mu);
+  return static_cast<int64_t>(state->slots.size());
 }
 
 genbase::Result<core::QueryResult> PlanEngine::RunQuery(
     core::QueryId query, const core::QueryParams& params, ExecContext* ctx) {
-  const TablesSnapshot snap = Snapshot();
-  if (snap.tables == nullptr) {
+  const std::shared_ptr<State> state = Snapshot();
+  if (state == nullptr) {
     return genbase::Status::Internal("PlanEngine: dataset not loaded");
   }
-  bool cache_hit = false;
-  GENBASE_ASSIGN_OR_RETURN(std::shared_ptr<CompiledPlan> plan,
-                           GetPlan(query, params, snap, ctx, &cache_hit));
-  return plan->Execute(ctx);
-}
-
-genbase::Result<std::shared_ptr<CompiledPlan>> PlanEngine::CompileForTest(
-    core::QueryId query, const core::QueryParams& params, ExecContext* ctx) {
-  const TablesSnapshot snap = Snapshot();
-  if (snap.tables == nullptr) {
-    return genbase::Status::Internal("PlanEngine: dataset not loaded");
-  }
-  bool cache_hit = false;
-  return GetPlan(query, params, snap, ctx, &cache_hit);
+  GENBASE_ASSIGN_OR_RETURN(
+      std::shared_ptr<const engine::AccessPaths> paths,
+      state->GetOrBuild(engine::AccessPathKey::Of(query, params), ctx));
+  linalg::Matrix x;
+  std::vector<double> scores;
+  GENBASE_RETURN_NOT_OK(engine::MaterializeInputs(
+      state->tables, query, *paths, /*q1_design=*/true, ctx, &x, &scores));
+  GENBASE_ASSIGN_OR_RETURN(
+      core::QueryResult result,
+      engine::RunStandardAnalytics(query, *paths, std::move(x), scores,
+                                   params, linalg::KernelQuality::kTuned,
+                                   ctx));
+  PlanMetrics::Get().executes->Inc();
+  return result;
 }
 
 std::unique_ptr<core::Engine> CreatePlanStore() {

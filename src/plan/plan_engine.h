@@ -7,18 +7,17 @@
 
 #include "core/engine.h"
 #include "engine/engine_util.h"
-#include "plan/plan_builder.h"
-#include "plan/plan_cache.h"
 
 namespace genbase::plan {
 
-/// \brief The planned column store: identical storage and kernels to
-/// ColumnStoreEngine's in-database path, but every query compiles once per
-/// (params, dataset epoch) into a static plan — operator DAG, deterministic
-/// schedule, arena memory plan — and then executes with zero per-run
-/// planning, allocation or hashing beyond one arena grab. Results are
-/// bitwise identical to the legacy path (property-tested); what changes is
-/// where the time and memory go, which the plan_* metrics expose.
+/// \brief The planned column store: identical storage, data-management code
+/// and kernels to ColumnStoreEngine's in-database path, but the relational
+/// half of each query's data management (filter, hash join, dense mappings,
+/// side inputs) runs once per engine::AccessPathKey and is cached. A run
+/// then only materializes its dense buffers through the cached access paths
+/// and calls the shared analytics. Results are bitwise identical to
+/// PrepareInputsColumnar + RunStandardAnalytics (tested); the plan_*
+/// metrics count prep builds and cache hits.
 class PlanEngine : public core::Engine {
  public:
   PlanEngine();
@@ -31,36 +30,26 @@ class PlanEngine : public core::Engine {
                                               const core::QueryParams& params,
                                               ExecContext* ctx) override;
 
-  /// Compiles (or fetches) the plan for `query` without executing it; test
-  /// and bench hook for inspecting schedules and allocation plans.
-  genbase::Result<std::shared_ptr<CompiledPlan>> CompileForTest(
-      core::QueryId query, const core::QueryParams& params, ExecContext* ctx);
-
   MemoryTracker* tracker() { return &tracker_; }
-  int64_t cached_plans() const { return cache_.size(); }
+
+  /// Access-path entries cached for the loaded dataset (0 when unloaded).
+  int64_t cached_entries() const;
 
  protected:
   genbase::Status DoLoadDataset(const core::GenBaseData& data) override;
   void DoUnloadDataset() override;
 
  private:
-  /// Snapshot of {tables, epoch} taken together under the lock, so a plan
-  /// is always keyed by the epoch matching the tables it was built on.
-  struct TablesSnapshot {
-    std::shared_ptr<const engine::ColumnarTables> tables;
-    uint64_t epoch = 0;
-  };
-  TablesSnapshot Snapshot() const;
+  struct State;
 
-  genbase::Result<std::shared_ptr<CompiledPlan>> GetPlan(
-      core::QueryId query, const core::QueryParams& params,
-      const TablesSnapshot& snap, ExecContext* ctx, bool* cache_hit);
+  std::shared_ptr<State> Snapshot() const;
 
   MemoryTracker tracker_;
-  mutable std::mutex tables_mu_;
-  std::shared_ptr<const engine::ColumnarTables> tables_;
-  uint64_t tables_epoch_ = 0;
-  PlanCache cache_;
+  mutable std::mutex mu_;
+  /// The loaded tables and the access paths built on them, swapped as one
+  /// by DoLoadDataset: a reload starts an empty cache, and queries in
+  /// flight keep the state they started on alive.
+  std::shared_ptr<State> state_;
 };
 
 /// Factory for the serving/bench registries.

@@ -5,23 +5,18 @@
 
 namespace genbase::obs {
 class Counter;
-class Gauge;
 }  // namespace genbase::obs
 
 namespace genbase::plan {
 
-/// \brief Process-wide plan metrics, registered once in the global
-/// MetricsRegistry so they ride along in METRICS_* snapshots and the
-/// workload report's --json output.
+/// \brief Process-wide metrics of the planned column store's access-path
+/// cache, registered once in the global MetricsRegistry so they ride along
+/// in METRICS_* snapshots and the workload report's --json output.
 struct PlanMetrics {
-  obs::Counter* compiles;        ///< plan_compiles_total
-  obs::Counter* cache_hits;      ///< plan_cache_hits_total
-  obs::Counter* executes;        ///< plan_executes_total
-  obs::Counter* compile_ns;      ///< plan_compile_ns_total
-  obs::Counter* reused_bytes;    ///< plan_reused_bytes_total (per compile)
-  obs::Counter* peak_mismatches; ///< plan_peak_mismatch_total
-  obs::Gauge* peak_bytes;        ///< plan_peak_bytes (observed high-water)
-  obs::Gauge* predicted_peak_bytes;  ///< plan_predicted_peak_bytes
+  obs::Counter* compiles;    ///< plan_compiles_total (access-path builds)
+  obs::Counter* cache_hits;  ///< plan_cache_hits_total
+  obs::Counter* executes;    ///< plan_executes_total
+  obs::Counter* compile_ns;  ///< plan_compile_ns_total
 
   static PlanMetrics& Get();
 };
@@ -34,15 +29,10 @@ struct PlanStatsSnapshot {
   int64_t cache_hits = 0;
   int64_t executes = 0;
   int64_t compile_ns = 0;
-  int64_t reused_bytes = 0;
-  int64_t peak_mismatches = 0;
-  double peak_bytes = 0.0;
-  double predicted_peak_bytes = 0.0;
 
   static PlanStatsSnapshot Capture();
 
-  /// Counter fields subtract; gauges keep the left-hand (current) value —
-  /// a high-water mark has no meaningful delta.
+  /// Field-wise difference (a measured-phase delta).
   PlanStatsSnapshot operator-(const PlanStatsSnapshot& rhs) const;
 };
 

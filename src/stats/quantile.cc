@@ -8,18 +8,13 @@ namespace genbase::stats {
 
 genbase::Result<double> Quantile(const std::vector<double>& values,
                                  double q) {
-  return Quantile(values.data(), static_cast<int64_t>(values.size()), q);
-}
-
-genbase::Result<double> Quantile(const double* values, int64_t count,
-                                 double q) {
-  if (count == 0) {
+  if (values.empty()) {
     return genbase::Status::InvalidArgument("quantile of empty set");
   }
   if (q < 0.0 || q > 1.0) {
     return genbase::Status::InvalidArgument("quantile q out of [0,1]");
   }
-  std::vector<double> copy(values, values + count);
+  std::vector<double> copy = values;
   const int64_t idx = std::min<int64_t>(
       static_cast<int64_t>(copy.size()) - 1,
       static_cast<int64_t>(q * static_cast<double>(copy.size())));

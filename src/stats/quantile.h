@@ -13,12 +13,6 @@ namespace genbase::stats {
 /// covariance" threshold.
 genbase::Result<double> Quantile(const std::vector<double>& values, double q);
 
-/// Span overload for values living in externally planned storage (the
-/// static-plan arena); the vector overload forwards here. Still selects on
-/// a private copy — the input is not reordered.
-genbase::Result<double> Quantile(const double* values, int64_t count,
-                                 double q);
-
 /// \brief Approximate quantile from a deterministic subsample; used when the
 /// full pair population (n^2 covariances) is too large to copy.
 genbase::Result<double> SampledQuantile(const double* values, int64_t count,

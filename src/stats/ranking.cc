@@ -7,10 +7,7 @@
 namespace genbase::stats {
 
 RankedValues RankWithTies(const std::vector<double>& values) {
-  return RankWithTies(values.data(), static_cast<int64_t>(values.size()));
-}
-
-RankedValues RankWithTies(const double* values, int64_t n) {
+  const int64_t n = static_cast<int64_t>(values.size());
   std::vector<int64_t> order(static_cast<size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   // `<` alone is not a strict weak ordering when NaN is present, and

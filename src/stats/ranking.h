@@ -22,10 +22,6 @@ struct RankedValues {
 /// the old AverageRanks + TieGroupSizes pair paid is gone.
 RankedValues RankWithTies(const std::vector<double>& values);
 
-/// Span overload for values living in externally planned storage (the
-/// static-plan arena); the vector overload forwards here.
-RankedValues RankWithTies(const double* values, int64_t count);
-
 /// \brief Returns 1-based mid-ranks of `values` (RankWithTies().ranks).
 std::vector<double> AverageRanks(const std::vector<double>& values);
 

@@ -10,13 +10,7 @@ namespace genbase::stats {
 
 genbase::Result<RankSumResult> WilcoxonRankSum(
     const std::vector<double>& values, const std::vector<bool>& in_group) {
-  return WilcoxonRankSum(values.data(),
-                         static_cast<int64_t>(values.size()), in_group);
-}
-
-genbase::Result<RankSumResult> WilcoxonRankSum(
-    const double* values, int64_t count, const std::vector<bool>& in_group) {
-  if (static_cast<size_t>(count) != in_group.size()) {
+  if (values.size() != in_group.size()) {
     return genbase::Status::InvalidArgument("values/mask length mismatch");
   }
   RankSumResult r;
@@ -30,11 +24,9 @@ genbase::Result<RankSumResult> WilcoxonRankSum(
   const double n = n1 + n2;
 
   // One index sort yields both the mid-ranks and the tie structure.
-  const RankedValues ranked = RankWithTies(values, count);
-  for (int64_t i = 0; i < count; ++i) {
-    if (in_group[static_cast<size_t>(i)]) {
-      r.rank_sum_in_group += ranked.ranks[static_cast<size_t>(i)];
-    }
+  const RankedValues ranked = RankWithTies(values);
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (in_group[i]) r.rank_sum_in_group += ranked.ranks[i];
   }
   r.u_statistic = r.rank_sum_in_group - n1 * (n1 + 1.0) / 2.0;
 

@@ -29,11 +29,6 @@ struct RankSumResult {
 genbase::Result<RankSumResult> WilcoxonRankSum(
     const std::vector<double>& values, const std::vector<bool>& in_group);
 
-/// Span overload for values living in externally planned storage (the
-/// static-plan arena); the vector overload forwards here.
-genbase::Result<RankSumResult> WilcoxonRankSum(
-    const double* values, int64_t count, const std::vector<bool>& in_group);
-
 /// \brief Exact two-sided p-value by complete enumeration of group
 /// assignments. Exponential cost; only valid for small inputs (n <= 20,
 /// choose(n, k) <= ~2e6). Used as the property-test oracle.

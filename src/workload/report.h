@@ -108,10 +108,9 @@ struct WorkloadReport {
   bool has_serving = false;
   serving::ServingCounters serving;
 
-  /// Set when static query plans executed during the measured phase (the
-  /// planned column store); `plan` then holds the measured-phase delta of
-  /// the plan_* counters (compiles, cache hits, executes, compile ns,
-  /// reused bytes) plus the current peak gauges.
+  /// Set when the planned column store executed during the measured phase;
+  /// `plan` then holds the measured-phase delta of the plan_* counters
+  /// (access-path builds, cache hits, executes, build ns).
   bool has_plan = false;
   plan::PlanStatsSnapshot plan;
 

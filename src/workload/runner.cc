@@ -466,8 +466,8 @@ genbase::Result<WorkloadReport> WorkloadRunner::RunScheduled(
   serving::ServingCounters counters_at_measure_start;
   if (stack != nullptr) counters_at_measure_start = stack->counters();
 
-  // Plan counters likewise: warm-up compiles the plans; the measured phase
-  // should mostly show cache hits and executes.
+  // Plan counters likewise: warm-up builds the access paths; the measured
+  // phase should mostly show cache hits and executes.
   const plan::PlanStatsSnapshot plan_at_measure_start =
       plan::PlanStatsSnapshot::Capture();
 

@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
-#include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,13 +15,8 @@
 #include "core/generator.h"
 #include "core/queries.h"
 #include "engine/engine_util.h"
-#include "plan/arena.h"
-#include "plan/compiled_plan.h"
-#include "plan/memory_planner.h"
-#include "plan/plan_builder.h"
 #include "plan/plan_engine.h"
-#include "plan/plan_graph.h"
-#include "plan/scheduler.h"
+#include "plan/plan_stats.h"
 
 namespace genbase {
 namespace {
@@ -33,12 +26,6 @@ using core::GenBaseData;
 using core::QueryId;
 using core::QueryParams;
 using core::QueryResult;
-using plan::BufferAssignment;
-using plan::MemoryPlan;
-using plan::OpDef;
-using plan::OpKind;
-using plan::PlanGraph;
-using plan::TensorSpec;
 
 constexpr double kTinyScale = 0.008;
 
@@ -59,23 +46,49 @@ QueryParams TinyParams() {
   return p;
 }
 
-/// One columnar copy of the tiny dataset shared by the planned and legacy
-/// paths, so bitwise comparisons read the exact same storage.
-std::shared_ptr<const engine::ColumnarTables> TinyTables() {
+/// The perfbench variants (perfbench/src/loadgen.cc VariantParams): the
+/// data-management fields (function cut, age cut) change with period 2, the
+/// analytic fields (quantile, rank, delta, significance) per variant.
+QueryParams VariantParams(int v) {
+  QueryParams p;
+  if (v == 0) return p;
+  p.function_threshold -= 8 * (v % 2);
+  p.max_age += 3 * (v % 2);
+  p.covariance_quantile -= 0.01 * (v % 4);
+  p.svd_rank -= v % 3;
+  p.bicluster_delta_fraction += 0.01 * (v % 5);
+  p.significance *= 1.0 + 1e-9 * v;
+  return p;
+}
+
+/// A columnar copy of the tiny dataset for the legacy path; the planned
+/// engine loads its own copy of the same data.
+const engine::ColumnarTables& TinyTables() {
   static const auto* tables = [] {
     static MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTestTables");
-    auto t = std::make_shared<engine::ColumnarTables>();
-    GENBASE_CHECK(
-        engine::LoadColumnarTables(TinyData(), &tracker, t.get()).ok());
-    return new std::shared_ptr<const engine::ColumnarTables>(std::move(t));
+    auto* t = new engine::ColumnarTables();
+    GENBASE_CHECK(engine::LoadColumnarTables(TinyData(), &tracker, t).ok());
+    return t;
   }();
   return *tables;
 }
 
+/// The per-run PrepareInputsColumnar + RunStandardAnalytics path.
+genbase::Result<QueryResult> RunLegacy(QueryId q, const QueryParams& params) {
+  MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTestLegacy");
+  ExecContext ctx;
+  ctx.set_memory(&tracker);
+  GENBASE_ASSIGN_OR_RETURN(
+      engine::QueryInputs inputs,
+      engine::PrepareInputsColumnar(TinyTables(), q, params, &ctx));
+  return engine::RunStandardAnalytics(q, std::move(inputs), params,
+                                      linalg::KernelQuality::kTuned, &ctx);
+}
+
 /// --- bitwise result comparison ----------------------------------------------
-/// Equality at the bit level, not within tolerance: planned kernels share
-/// the exact inner implementations with the legacy path, so every double
-/// must match bit for bit.
+/// Equality at the bit level, not within tolerance: both paths run the same
+/// data-management code and kernels, so every double must match bit for
+/// bit.
 
 bool BitEq(double a, double b) {
   uint64_t ua = 0, ub = 0;
@@ -147,257 +160,24 @@ bool BitEq(const std::vector<double>& a, const std::vector<double>& b) {
   return ::testing::AssertionSuccess();
 }
 
-/// --- randomized DAGs for planner property tests ------------------------------
-
-uint64_t NextRand(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-/// Builds a random valid DAG: each op reads 1-3 already-produced values and
-/// writes one new value (sometimes in place over its first input). Sources
-/// are scan ops with no inputs.
-PlanGraph RandomGraph(uint64_t seed) {
-  PlanGraph g;
-  uint64_t s = seed;
-  const int num_sources = 1 + static_cast<int>(NextRand(&s) % 3);
-  std::vector<int> produced;
-  for (int i = 0; i < num_sources; ++i) {
-    TensorSpec spec{1 + static_cast<int64_t>(NextRand(&s) % 40),
-                    1 + static_cast<int64_t>(NextRand(&s) % 12)};
-    const int v = g.AddValue("src" + std::to_string(i), spec);
-    OpDef op;
-    op.kind = OpKind::kScan;
-    op.name = "scan" + std::to_string(i);
-    op.outputs = {v};
-    g.AddOp(std::move(op));
-    produced.push_back(v);
-  }
-  const int num_ops = 2 + static_cast<int>(NextRand(&s) % 10);
-  for (int i = 0; i < num_ops; ++i) {
-    OpDef op;
-    op.kind = OpKind::kSelect;
-    op.name = "op" + std::to_string(i);
-    const int num_inputs = 1 + static_cast<int>(NextRand(&s) % 3);
-    for (int k = 0; k < num_inputs; ++k) {
-      op.inputs.push_back(
-          produced[NextRand(&s) % produced.size()]);
-    }
-    const bool in_place = (NextRand(&s) % 4) == 0;
-    TensorSpec spec;
-    if (in_place) {
-      // In-place ops must write a byte-identical shape over inputs[0].
-      spec = g.values()[static_cast<size_t>(op.inputs[0])].spec;
-      op.in_place = true;
-    } else {
-      spec = TensorSpec{1 + static_cast<int64_t>(NextRand(&s) % 40),
-                        1 + static_cast<int64_t>(NextRand(&s) % 12)};
-    }
-    const int v = g.AddValue("v" + std::to_string(i), spec);
-    op.outputs = {v};
-    g.AddOp(std::move(op));
-    produced.push_back(v);
-  }
-  return g;
-}
-
-/// Resolves a value to the root of its alias chain.
-int AliasRoot(const MemoryPlan& mem, int v) {
-  int root = v;
-  while (mem.buffers[static_cast<size_t>(root)].alias_root >= 0) {
-    root = mem.buffers[static_cast<size_t>(root)].alias_root;
-  }
-  return root;
-}
-
-/// --- planner property tests --------------------------------------------------
-
-TEST(MemoryPlannerTest, RandomizedDagsNeverOverlapLiveBuffers) {
-  for (uint64_t seed = 1; seed <= 200; ++seed) {
-    PlanGraph g = RandomGraph(seed);
-    ASSERT_TRUE(g.Validate().ok()) << "seed " << seed;
-    auto schedule = plan::TopologicalSchedule(g);
-    ASSERT_TRUE(schedule.ok()) << "seed " << seed;
-    auto mem = plan::PlanMemory(g, *schedule);
-    ASSERT_TRUE(mem.ok()) << "seed " << seed;
-
-    int64_t max_extent = 0;
-    int64_t root_total = 0;
-    std::set<int> roots;
-    for (size_t v = 0; v < g.values().size(); ++v) {
-      const BufferAssignment& b = mem->buffers[v];
-      EXPECT_EQ(b.offset % mem->alignment, 0) << "seed " << seed;
-      EXPECT_EQ(b.size % mem->alignment, 0) << "seed " << seed;
-      EXPECT_GE(b.size, g.values()[v].spec.bytes()) << "seed " << seed;
-      EXPECT_LE(b.def_step, b.last_use_step) << "seed " << seed;
-      max_extent = std::max(max_extent, b.offset + b.size);
-      const int root = AliasRoot(*mem, static_cast<int>(v));
-      EXPECT_EQ(mem->buffers[static_cast<size_t>(root)].offset, b.offset)
-          << "seed " << seed << ": alias offset mismatch";
-      if (roots.insert(root).second) {
-        root_total += mem->buffers[static_cast<size_t>(root)].size;
-      }
-    }
-    EXPECT_EQ(mem->arena_bytes, max_extent) << "seed " << seed;
-    EXPECT_EQ(mem->total_bytes_no_reuse, root_total) << "seed " << seed;
-    EXPECT_EQ(mem->reused_bytes, root_total - mem->arena_bytes)
-        << "seed " << seed;
-
-    // The core property: two distinct roots whose lifetimes overlap must
-    // occupy disjoint byte ranges.
-    const std::vector<int> root_list(roots.begin(), roots.end());
-    for (size_t i = 0; i < root_list.size(); ++i) {
-      for (size_t j = i + 1; j < root_list.size(); ++j) {
-        const BufferAssignment& a =
-            mem->buffers[static_cast<size_t>(root_list[i])];
-        const BufferAssignment& b =
-            mem->buffers[static_cast<size_t>(root_list[j])];
-        const bool lifetimes_overlap =
-            a.def_step <= b.last_use_step && b.def_step <= a.last_use_step;
-        const bool bytes_overlap =
-            a.offset < b.offset + b.size && b.offset < a.offset + a.size;
-        EXPECT_FALSE(lifetimes_overlap && bytes_overlap)
-            << "seed " << seed << ": live buffers " << root_list[i] << " and "
-            << root_list[j] << " overlap\n"
-            << mem->Dump(g);
-      }
-    }
-  }
-}
-
-TEST(MemoryPlannerTest, ScheduleIsDeterministic) {
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    PlanGraph g = RandomGraph(seed);
-    auto s1 = plan::TopologicalSchedule(g);
-    auto s2 = plan::TopologicalSchedule(g);
-    ASSERT_TRUE(s1.ok() && s2.ok());
-    EXPECT_EQ(*s1, *s2) << "seed " << seed;
-    // Topological: every input's producer runs before the consumer.
-    std::map<int, int> producer_step;
-    for (size_t step = 0; step < s1->size(); ++step) {
-      const OpDef& op = g.ops()[static_cast<size_t>((*s1)[step])];
-      for (int out : op.outputs) producer_step[out] = static_cast<int>(step);
-    }
-    for (size_t step = 0; step < s1->size(); ++step) {
-      const OpDef& op = g.ops()[static_cast<size_t>((*s1)[step])];
-      for (int in : op.inputs) {
-        EXPECT_LE(producer_step[in], static_cast<int>(step))
-            << "seed " << seed;
-      }
-    }
-  }
-}
-
-TEST(MemoryPlannerTest, CycleIsRejected) {
-  PlanGraph g;
-  const int a = g.AddValue("a", TensorSpec{4, 4});
-  const int b = g.AddValue("b", TensorSpec{4, 4});
-  OpDef op1;
-  op1.kind = OpKind::kSelect;
-  op1.name = "a_to_b";
-  op1.inputs = {a};
-  op1.outputs = {b};
-  g.AddOp(std::move(op1));
-  OpDef op2;
-  op2.kind = OpKind::kSelect;
-  op2.name = "b_to_a";
-  op2.inputs = {b};
-  op2.outputs = {a};
-  g.AddOp(std::move(op2));
-  ASSERT_TRUE(g.Validate().ok());
-  auto schedule = plan::TopologicalSchedule(g);
-  EXPECT_FALSE(schedule.ok());
-  EXPECT_EQ(schedule.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(MemoryPlannerTest, RejectsBadAlignment) {
-  PlanGraph g = RandomGraph(1);
-  auto schedule = plan::TopologicalSchedule(g);
-  ASSERT_TRUE(schedule.ok());
-  EXPECT_FALSE(plan::PlanMemory(g, *schedule, 16).ok());   // < 64.
-  EXPECT_FALSE(plan::PlanMemory(g, *schedule, 96).ok());   // Not a power of 2.
-  EXPECT_TRUE(plan::PlanMemory(g, *schedule, 128).ok());
-}
-
-TEST(PlanArenaTest, BaseIsAlignedAndSized) {
-  MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTestArena");
-  for (const int64_t alignment : {64, 128, 256}) {
-    auto arena = plan::PlanArena::Create(1000, alignment, &tracker);
-    ASSERT_TRUE(arena.ok());
-    EXPECT_EQ(reinterpret_cast<uintptr_t>((*arena)->base()) %
-                  static_cast<uintptr_t>(alignment),
-              0u);
-    EXPECT_GE((*arena)->size(), 1000);
-    EXPECT_EQ((*arena)->size() % alignment, 0);
-  }
-  EXPECT_FALSE(plan::PlanArena::Create(1000, 32, &tracker).ok());
-  EXPECT_FALSE(plan::PlanArena::Create(-1, 64, &tracker).ok());
-}
-
-/// --- compiled-plan properties over the five queries ---------------------------
+/// --- cached runs vs the per-run path ----------------------------------------
 
 class PlannedQueryTest : public ::testing::TestWithParam<QueryId> {};
 
 TEST_P(PlannedQueryTest, BitwiseIdenticalToLegacyPath) {
   const QueryId q = GetParam();
-  MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
+  plan::PlanEngine engine;
+  ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());
   ExecContext ctx;
-  ctx.set_memory(&tracker);
+  engine.PrepareContext(&ctx);
 
-  auto plan = plan::CompileQuery(TinyTables(), q, TinyParams(), &tracker,
-                                 &ctx);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  auto planned = (*plan)->Execute(&ctx);
-  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
-
-  auto inputs =
-      engine::PrepareInputsColumnar(*TinyTables(), q, TinyParams(), &ctx);
-  ASSERT_TRUE(inputs.ok()) << inputs.status().ToString();
-  auto legacy = engine::RunStandardAnalytics(
-      q, std::move(*inputs), TinyParams(), linalg::KernelQuality::kTuned,
-      &ctx);
+  auto legacy = RunLegacy(q, TinyParams());
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-
-  EXPECT_TRUE(BitwiseEqual(*planned, *legacy));
-}
-
-TEST_P(PlannedQueryTest, ObservedPeakEqualsPredictedPeak) {
-  const QueryId q = GetParam();
-  MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
-  ExecContext ctx;
-  ctx.set_memory(&tracker);
-  auto plan = plan::CompileQuery(TinyTables(), q, TinyParams(), &tracker,
-                                 &ctx);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  // Execute twice: pooled-arena reuse must not change the high-water mark.
-  ASSERT_TRUE((*plan)->Execute(&ctx).ok());
-  ASSERT_TRUE((*plan)->Execute(&ctx).ok());
-  EXPECT_EQ((*plan)->observed_peak_bytes(),
-            (*plan)->memory_plan().arena_bytes)
-      << (*plan)->DumpAllocationPlan();
-}
-
-TEST_P(PlannedQueryTest, AllocationPlanIsAlignedAndDumps) {
-  const QueryId q = GetParam();
-  MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
-  ExecContext ctx;
-  ctx.set_memory(&tracker);
-  auto plan = plan::CompileQuery(TinyTables(), q, TinyParams(), &tracker,
-                                 &ctx);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  const MemoryPlan& mem = (*plan)->memory_plan();
-  EXPECT_GE(mem.alignment, 64);
-  for (const BufferAssignment& b : mem.buffers) {
-    EXPECT_EQ(b.offset % 64, 0);
-    EXPECT_EQ(b.size % 64, 0);
-  }
-  const std::string dump = (*plan)->DumpAllocationPlan();
-  EXPECT_FALSE(dump.empty());
-  for (const auto& v : (*plan)->graph().values()) {
-    EXPECT_NE(dump.find(v.name), std::string::npos)
-        << "value " << v.name << " missing from dump:\n" << dump;
+  // The first run builds the access paths, the second reuses them.
+  for (int run = 0; run < 2; ++run) {
+    auto planned = engine.RunQuery(q, TinyParams(), &ctx);
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    EXPECT_TRUE(BitwiseEqual(*planned, *legacy)) << "run " << run;
   }
 }
 
@@ -407,51 +187,75 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, PlannedQueryTest,
                            return std::string(core::QueryName(info.param));
                          });
 
-TEST(PlannedQueryTest, CovarianceReusesArenaBytes) {
-  MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
-  ExecContext ctx;
-  ctx.set_memory(&tracker);
-  auto plan = plan::CompileQuery(TinyTables(), QueryId::kCovariance,
-                                 TinyParams(), &tracker, &ctx);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_GT((*plan)->memory_plan().reused_bytes, 0)
-      << (*plan)->DumpAllocationPlan();
-  EXPECT_EQ((*plan)->memory_plan().reused_bytes,
-            (*plan)->memory_plan().total_bytes_no_reuse -
-                (*plan)->memory_plan().arena_bytes);
-}
-
-/// --- engine + cache behavior --------------------------------------------------
-
-TEST(PlanEngineTest, CachesPlansPerQueryAndEpoch) {
+/// Requests that differ only in analytic parameters share one prep: over the
+/// eight perfbench variants each query builds once per distinct value of
+/// its own data-management fields, and every answer still matches the
+/// per-run path with the same parameters bit for bit.
+TEST(PlanEngineTest, VariantsShareDataManagementPrep) {
+  constexpr int kVariants = 8;
+  const std::map<QueryId, int64_t> expected_builds = {
+      {QueryId::kRegression, 2}, {QueryId::kCovariance, 1},
+      {QueryId::kBiclustering, 2}, {QueryId::kSvd, 2},
+      {QueryId::kStatistics, 1}};
   plan::PlanEngine engine;
   ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());
   ExecContext ctx;
   engine.PrepareContext(&ctx);
 
-  auto p1 = engine.CompileForTest(QueryId::kRegression, TinyParams(), &ctx);
-  ASSERT_TRUE(p1.ok());
-  auto p2 = engine.CompileForTest(QueryId::kRegression, TinyParams(), &ctx);
-  ASSERT_TRUE(p2.ok());
-  EXPECT_EQ(p1->get(), p2->get()) << "same key must return the cached plan";
-  EXPECT_EQ(engine.cached_plans(), 1);
+  int64_t total_builds = 0;
+  for (const QueryId q : core::kAllQueries) {
+    const plan::PlanStatsSnapshot before = plan::PlanStatsSnapshot::Capture();
+    for (int v = 0; v < kVariants; ++v) {
+      const QueryParams params = VariantParams(v);
+      auto planned = engine.RunQuery(q, params, &ctx);
+      ASSERT_TRUE(planned.ok()) << core::QueryName(q) << " variant " << v
+                                << ": " << planned.status().ToString();
+      auto legacy = RunLegacy(q, params);
+      ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+      EXPECT_TRUE(BitwiseEqual(*planned, *legacy))
+          << core::QueryName(q) << " variant " << v;
+    }
+    const plan::PlanStatsSnapshot delta =
+        plan::PlanStatsSnapshot::Capture() - before;
+    EXPECT_EQ(delta.compiles, expected_builds.at(q)) << core::QueryName(q);
+    EXPECT_EQ(delta.cache_hits, kVariants - expected_builds.at(q))
+        << core::QueryName(q);
+    EXPECT_EQ(delta.executes, kVariants) << core::QueryName(q);
+    total_builds += delta.compiles;
+  }
+  EXPECT_EQ(total_builds, 8);
+  EXPECT_EQ(engine.cached_entries(), 8);
+}
 
-  // A different parameter fingerprint compiles a distinct plan.
-  QueryParams other = TinyParams();
-  other.function_threshold += 10;
-  auto p3 = engine.CompileForTest(QueryId::kRegression, other, &ctx);
-  ASSERT_TRUE(p3.ok());
-  EXPECT_NE(p1->get(), p3->get());
-  EXPECT_EQ(engine.cached_plans(), 2);
-
-  // Reload bumps the epoch: old plans evict, results stay correct.
+TEST(PlanEngineTest, CachesPerKeyAndStartsFreshOnReload) {
+  plan::PlanEngine engine;
   ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());
+  ExecContext ctx;
+  engine.PrepareContext(&ctx);
+
+  ASSERT_TRUE(engine.RunQuery(QueryId::kRegression, TinyParams(), &ctx).ok());
+  ASSERT_TRUE(engine.RunQuery(QueryId::kRegression, TinyParams(), &ctx).ok());
+  EXPECT_EQ(engine.cached_entries(), 1);
+
+  // An analytic field alone shares the entry; a filter field does not.
+  QueryParams other = TinyParams();
+  other.svd_rank += 1;
+  other.covariance_quantile -= 0.05;
+  ASSERT_TRUE(engine.RunQuery(QueryId::kRegression, other, &ctx).ok());
+  EXPECT_EQ(engine.cached_entries(), 1);
+  other.function_threshold += 10;
+  ASSERT_TRUE(engine.RunQuery(QueryId::kRegression, other, &ctx).ok());
+  EXPECT_EQ(engine.cached_entries(), 2);
+
+  // A reload starts an empty cache; results stay correct.
+  ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());
+  EXPECT_EQ(engine.cached_entries(), 0);
   auto r = engine.RunQuery(QueryId::kRegression, TinyParams(), &ctx);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(engine.cached_plans(), 1);
+  EXPECT_EQ(engine.cached_entries(), 1);
 
   engine.UnloadDataset();
-  EXPECT_EQ(engine.cached_plans(), 0);
+  EXPECT_EQ(engine.cached_entries(), 0);
   EXPECT_FALSE(engine.RunQuery(QueryId::kRegression, TinyParams(), &ctx).ok());
 }
 
@@ -466,7 +270,7 @@ TEST(PlanEngineTest, ServesAllQueriesThroughRunQuery) {
                         << r.status().ToString();
     EXPECT_EQ(r->query, q);
   }
-  EXPECT_EQ(engine.cached_plans(), 5);
+  EXPECT_EQ(engine.cached_entries(), 5);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Plan-cache stress: the single-flight compile path, the pooled-arena
-// execute path and epoch eviction all run concurrently in the serving tier,
-// so they are hammered here the way serving would — a stampede of clients
-// on one key, a mixed workload racing dataset reloads, and a pile-up of
-// executions on one cached plan. Outcomes asserted are deterministic even
-// though the interleavings are not.
+// Prep-cache stress: the single-flight access-path build, runs sharing one
+// cached entry and the state swap on reload all run concurrently in the
+// serving tier, so they are hammered here the way serving would — a
+// stampede of clients on one key, a mixed workload racing dataset reloads,
+// and a pile-up of runs on one cached entry. Outcomes asserted are
+// deterministic even though the interleavings are not.
 
 #include <gtest/gtest.h>
 
@@ -49,8 +49,8 @@ QueryParams TinyParams() {
   return p;
 }
 
-/// A stampede of clients on one cold key must compile exactly once: one
-/// leader, everyone else coalesces onto the leader's plan and executes it.
+/// A stampede of clients on one cold key must build exactly once: one
+/// leader, everyone else coalesces onto the leader's access paths.
 TEST(PlanCacheStressTest, StampedeCompilesOnce) {
   plan::PlanEngine engine;
   ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());
@@ -71,23 +71,21 @@ TEST(PlanCacheStressTest, StampedeCompilesOnce) {
   EXPECT_EQ(delta.compiles, 1) << "single-flight leaked extra compiles";
   EXPECT_EQ(delta.cache_hits, kThreads - 1);
   EXPECT_EQ(delta.executes, kThreads);
-  EXPECT_EQ(delta.peak_mismatches, 0);
-  EXPECT_EQ(engine.cached_plans(), 1);
+  EXPECT_EQ(engine.cached_entries(), 1);
 }
 
-/// Many threads executing one cached plan concurrently: the arena pool
-/// hands each execution a private arena, results stay correct and the
-/// observed high-water mark never drifts from the planner's prediction.
-TEST(PlanCacheStressTest, ConcurrentExecutionsShareOnePlan) {
+/// Many threads running on one cached entry concurrently: each run
+/// materializes private buffers from the shared read-only access paths, so
+/// results stay correct and nothing rebuilds.
+TEST(PlanCacheStressTest, ConcurrentRunsShareOneEntry) {
   plan::PlanEngine engine;
   ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());
   ExecContext warm_ctx;
   engine.PrepareContext(&warm_ctx);
-  auto plan =
-      engine.CompileForTest(QueryId::kRegression, TinyParams(), &warm_ctx);
-  ASSERT_TRUE(plan.ok());
-  auto expected = (*plan)->Execute(&warm_ctx);
+  auto expected =
+      engine.RunQuery(QueryId::kRegression, TinyParams(), &warm_ctx);
   ASSERT_TRUE(expected.ok());
+  const plan::PlanStatsSnapshot before = plan::PlanStatsSnapshot::Capture();
 
   constexpr int kThreads = 8;
   constexpr int kRoundsPerThread = 16;
@@ -105,16 +103,15 @@ TEST(PlanCacheStressTest, ConcurrentExecutionsShareOnePlan) {
     }
   });
   EXPECT_EQ(mismatches.load(std::memory_order_relaxed), 0);
-  EXPECT_EQ((*plan)->observed_peak_bytes(),
-            (*plan)->memory_plan().arena_bytes);
-  EXPECT_EQ(engine.cached_plans(), 1);
+  EXPECT_EQ((plan::PlanStatsSnapshot::Capture() - before).compiles, 0);
+  EXPECT_EQ(engine.cached_entries(), 1);
 }
 
 /// Mixed query traffic racing dataset reloads: every request either serves
-/// from a plan keyed to a consistent {tables, epoch} snapshot or reports
-/// the transient not-loaded window — never a crash, a stale mix, or a
-/// wrong answer. After the churn settles, the cache holds exactly the
-/// current epoch's plans.
+/// from access paths built on the tables it runs against or reports the
+/// transient not-loaded window — never a crash, a stale mix, or a wrong
+/// answer. After the churn settles, the cache holds exactly the current
+/// dataset's entries.
 TEST(PlanCacheStressTest, QueryTrafficRacesReloads) {
   plan::PlanEngine engine;
   ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());
@@ -195,8 +192,8 @@ TEST(PlanCacheStressTest, QueryTrafficRacesReloads) {
   EXPECT_EQ(unexpected_errors.load(std::memory_order_relaxed), 0);
   EXPECT_GE(served.load(std::memory_order_relaxed), kClients);
 
-  // Settle: one pass over all queries on the final epoch, then the cache
-  // must hold exactly those five plans (older epochs evicted).
+  // Settle: one pass over all queries on the final dataset, then the cache
+  // must hold exactly those five entries (older datasets' caches dropped).
   ExecContext ctx;
   engine.PrepareContext(&ctx);
   for (const QueryId q : core::kAllQueries) {
@@ -204,8 +201,7 @@ TEST(PlanCacheStressTest, QueryTrafficRacesReloads) {
     ASSERT_TRUE(r.ok()) << core::QueryName(q) << ": "
                         << r.status().ToString();
   }
-  EXPECT_EQ(engine.cached_plans(), 5);
-  EXPECT_EQ(plan::PlanStatsSnapshot::Capture().peak_mismatches, 0);
+  EXPECT_EQ(engine.cached_entries(), 5);
 }
 
 }  // namespace

@@ -364,9 +364,13 @@ int RunPlanGates() {
   }
   // Memory-peak gate: run the five legacy queries against the legacy
   // tracker (tables + tracked per-run temporaries), then compare engine
-  // totals. Both trackers see the same tables and per-run buffers; the
-  // 2.5x ceiling catches a per-run buffer blow-up on the cached path long
-  // before it hurts RSS.
+  // totals. The planned engine's peak additionally holds its cached
+  // entries' access paths (join index, id vectors, dense mappings, Q5
+  // memberships — data-management state the legacy path rebuilds per run,
+  // largely through untracked std::vectors), so parity is not the bar;
+  // staying within 2.5x is. A cache blow-up (too many keys, a matrix kept
+  // in an entry) or a per-run buffer blow-up trips this long before it
+  // hurts RSS.
   {
     genbase::ExecContext legacy_ctx;
     legacy_ctx.set_memory(&b.legacy_tracker);

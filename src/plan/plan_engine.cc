@@ -2,10 +2,12 @@
 
 #include <future>
 #include <map>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "common/memory_tracker.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -15,7 +17,38 @@ namespace genbase::plan {
 
 using PathsResult = genbase::Result<std::shared_ptr<const engine::AccessPaths>>;
 
+namespace {
+
+/// Approximate resident footprint of one cached entry, charged to the
+/// engine tracker for the entry's lifetime (id vectors, join index, dense
+/// mappings, Q5 memberships).
+int64_t AccessPathBytes(const engine::AccessPaths& p) {
+  int64_t bytes = 0;
+  bytes += static_cast<int64_t>(p.join.left.size() + p.join.right.size()) * 8;
+  bytes += static_cast<int64_t>(p.row_ids.size() + p.col_ids.size()) * 8;
+  bytes += static_cast<int64_t>(p.y.size()) * 8;
+  // DenseMapping: sorted ids plus a hash entry (~3 words) per id.
+  bytes += static_cast<int64_t>(p.row_map.ids.size() + p.col_map.ids.size()) *
+           32;
+  for (const auto& m : p.memberships) {
+    bytes += static_cast<int64_t>(m.size()) * 8;
+  }
+  return bytes;
+}
+
+/// A cache entry: the access paths plus the tracker charge for them, which
+/// is released when the last in-flight reference drops.
+struct Entry {
+  engine::AccessPaths paths;
+  ScopedReservation reservation;
+};
+
+}  // namespace
+
 struct PlanEngine::State {
+  explicit State(MemoryTracker* tracker) : tracker(tracker) {}
+
+  MemoryTracker* tracker;
   engine::ColumnarTables tables;
 
   /// Single-flight cache: the first requester of a key builds the access
@@ -26,7 +59,19 @@ struct PlanEngine::State {
   std::map<engine::AccessPathKey, std::shared_future<PathsResult>> slots;
 
   PathsResult GetOrBuild(const engine::AccessPathKey& key, ExecContext* ctx);
+  PathsResult Build(const engine::AccessPathKey& key, ExecContext* ctx);
 };
+
+PathsResult PlanEngine::State::Build(const engine::AccessPathKey& key,
+                                     ExecContext* ctx) {
+  auto entry = std::make_shared<Entry>();
+  GENBASE_ASSIGN_OR_RETURN(entry->paths,
+                           engine::BuildAccessPaths(tables, key, ctx));
+  GENBASE_ASSIGN_OR_RETURN(
+      entry->reservation,
+      ScopedReservation::Acquire(tracker, AccessPathBytes(entry->paths)));
+  return std::shared_ptr<const engine::AccessPaths>(entry, &entry->paths);
+}
 
 PathsResult PlanEngine::State::GetOrBuild(const engine::AccessPathKey& key,
                                           ExecContext* ctx) {
@@ -48,12 +93,7 @@ PathsResult PlanEngine::State::GetOrBuild(const engine::AccessPathKey& key,
     obs::ScopedSpan span("plan.compile");
     span.SetDetail(core::QueryName(key.query));
     WallTimer timer;
-    genbase::Result<engine::AccessPaths> built =
-        engine::BuildAccessPaths(tables, key, ctx);
-    PathsResult result =
-        built.ok() ? PathsResult(std::make_shared<const engine::AccessPaths>(
-                         std::move(built).ValueOrDie()))
-                   : PathsResult(built.status());
+    PathsResult result = Build(key, ctx);
     if (result.ok()) {
       PlanMetrics& m = PlanMetrics::Get();
       m.compiles->Inc();
@@ -72,7 +112,7 @@ PlanEngine::PlanEngine()
 
 genbase::Status PlanEngine::DoLoadDataset(const core::GenBaseData& data) {
   DoUnloadDataset();
-  auto state = std::make_shared<State>();
+  auto state = std::make_shared<State>(&tracker_);
   GENBASE_RETURN_NOT_OK(
       engine::LoadColumnarTables(data, &tracker_, &state->tables));
   std::lock_guard<std::mutex> lock(mu_);
@@ -81,9 +121,9 @@ genbase::Status PlanEngine::DoLoadDataset(const core::GenBaseData& data) {
 }
 
 void PlanEngine::DoUnloadDataset() {
-  // No tracker_.Reset(): in-flight queries may still pin the previous state;
-  // its reservations release when the last reference drops, keeping the
-  // accounting balanced.
+  // No tracker_.Reset(): in-flight queries may still pin the previous state
+  // or one of its entries; their reservations release when the last
+  // reference drops, keeping the accounting balanced.
   std::lock_guard<std::mutex> lock(mu_);
   state_.reset();
 }

@@ -17,7 +17,8 @@ namespace genbase::plan {
 /// then only materializes its dense buffers through the cached access paths
 /// and calls the shared analytics. Results are bitwise identical to
 /// PrepareInputsColumnar + RunStandardAnalytics (tested); the plan_*
-/// metrics count prep builds and cache hits.
+/// metrics count prep builds and cache hits, and each cached entry is
+/// charged to tracker() while it lives.
 class PlanEngine : public core::Engine {
  public:
   PlanEngine();

@@ -259,6 +259,30 @@ TEST(PlanEngineTest, CachesPerKeyAndStartsFreshOnReload) {
   EXPECT_FALSE(engine.RunQuery(QueryId::kRegression, TinyParams(), &ctx).ok());
 }
 
+TEST(PlanEngineTest, ChargesCachedEntriesToItsTracker) {
+  plan::PlanEngine engine;
+  ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());
+  ExecContext ctx;
+  engine.PrepareContext(&ctx);
+  const int64_t tables_only = engine.tracker()->used();
+  ASSERT_GT(tables_only, 0);
+
+  // Per-run buffers release when a run ends; the cached entry stays held.
+  ASSERT_TRUE(engine.RunQuery(QueryId::kRegression, TinyParams(), &ctx).ok());
+  const int64_t with_entry = engine.tracker()->used();
+  EXPECT_GT(with_entry, tables_only);
+  ASSERT_TRUE(engine.RunQuery(QueryId::kRegression, TinyParams(), &ctx).ok());
+  EXPECT_EQ(engine.tracker()->used(), with_entry);
+  ASSERT_TRUE(engine.RunQuery(QueryId::kStatistics, TinyParams(), &ctx).ok());
+  EXPECT_GT(engine.tracker()->used(), with_entry);
+
+  // Dropping the state releases its entries with its tables.
+  ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());
+  EXPECT_EQ(engine.tracker()->used(), tables_only);
+  engine.UnloadDataset();
+  EXPECT_EQ(engine.tracker()->used(), 0);
+}
+
 TEST(PlanEngineTest, ServesAllQueriesThroughRunQuery) {
   plan::PlanEngine engine;
   ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());

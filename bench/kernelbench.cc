@@ -63,6 +63,8 @@ constexpr int64_t kGemvRows = 1024, kGemvCols = 512;
 constexpr int64_t kGemmM = 384, kGemmK = 384, kGemmN = 384;
 constexpr int64_t kSyrkRows = 1024, kSyrkCols = 384;
 constexpr int64_t kCcRows = 384, kCcCols = 288;
+// Query 4's Gram operator on the medium Q4 selection (patients x genes).
+constexpr int64_t kGramRows = 1600, kGramCols = 575;
 
 Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
   Matrix m(rows, cols);
@@ -123,6 +125,7 @@ double KernelFlops(const std::string& kernel) {
   if (kernel == "dot") return 2.0 * kVecLen;
   if (kernel == "axpy") return 2.0 * kVecLen;
   if (kernel == "gemv") return 2.0 * kGemvRows * kGemvCols;
+  if (kernel == "gram_apply") return 4.0 * kGramRows * kGramCols;
   if (kernel == "gemm") return 2.0 * kGemmM * kGemmK * kGemmN;
   // Upper triangle only (mirror is free-ish): m * n * (n + 1) FMAs.
   if (kernel == "syrk" || kernel == "covariance") {
@@ -157,6 +160,10 @@ void RegisterAll(ThreadPool* pool) {
   auto* syrk_a = new Matrix(RandomMatrix(kSyrkRows, kSyrkCols, 7));
   auto* syrk_c = new Matrix(kSyrkCols, kSyrkCols);
   auto* cc = new Matrix(PlantedBiclusterMatrix(kCcRows, kCcCols, 8));
+  auto* gram_a = new Matrix(RandomMatrix(kGramRows, kGramCols, 9));
+  auto* gram_x = new std::vector<double>(RandomVector(kGramCols, 10));
+  auto* gram_y = new std::vector<double>(static_cast<size_t>(kGramCols));
+  auto* gram_tmp = new std::vector<double>(static_cast<size_t>(kGramRows));
 
   auto reg = [](const std::string& name, auto fn) {
     benchmark::RegisterBenchmark(name.c_str(), fn)
@@ -226,6 +233,33 @@ void RegisterAll(ThreadPool* pool) {
       benchmark::DoNotOptimize(
           genbase::linalg::Syrk(MatrixView(*syrk_a), syrk_c, pool));
     }
+  });
+
+  // Query 4's Gram operator y = A^T (A x), single-threaded: one pass over A
+  // (GramApply) vs Gemv + GemvTranspose. bytes_per_second counts the matrix
+  // bytes each variant streams: 1x fused, 2x two-pass.
+  const int64_t gram_bytes = gram_a->bytes();
+  reg("gram_apply/fused", [=](benchmark::State& state) {
+    ScopedBackend sb(kSimd);
+    for (auto _ : state) {
+      genbase::linalg::GramApply(MatrixView(*gram_a), gram_x->data(),
+                                 gram_y->data());
+      benchmark::DoNotOptimize(gram_y->data());
+      benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() * gram_bytes);
+  });
+  reg("gram_apply/two_pass", [=](benchmark::State& state) {
+    ScopedBackend sb(kSimd);
+    for (auto _ : state) {
+      genbase::linalg::Gemv(MatrixView(*gram_a), gram_x->data(),
+                            gram_tmp->data());
+      genbase::linalg::GemvTranspose(MatrixView(*gram_a), gram_tmp->data(),
+                                     gram_y->data());
+      benchmark::DoNotOptimize(gram_y->data());
+      benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() * 2 * gram_bytes);
   });
 
   // Cheng–Church residue engines: whole-extraction timing; per-iteration

@@ -200,10 +200,10 @@ genbase::Result<DistributedSvdResult> DistributedTruncatedSvd(
   const int64_t n = a_blocks[0].cols();
   const bool tuned = quality == linalg::KernelQuality::kTuned;
 
-  // Per-node temp for A_i v.
+  // Per-node temp for A_i v on the naive path (GramApply needs none).
   int64_t max_rows = 0;
   for (const auto& b : a_blocks) max_rows = std::max(max_rows, b.rows());
-  std::vector<double> tmp(static_cast<size_t>(max_rows));
+  std::vector<double> tmp(tuned ? 0 : static_cast<size_t>(max_rows));
   std::vector<double> partial(static_cast<size_t>(n));
 
   double op_cpu_seconds = 0.0;
@@ -218,8 +218,7 @@ genbase::Result<DistributedSvdResult> DistributedTruncatedSvd(
           if (b.rows() == 0) return genbase::Status::OK();
           const linalg::MatrixView view(b);
           if (tuned) {
-            linalg::Gemv(view, x, tmp.data());
-            linalg::GemvTranspose(view, tmp.data(), partial.data());
+            linalg::GramApply(view, x, partial.data());
           } else {
             for (int64_t i = 0; i < b.rows(); ++i) {
               double s = 0;

@@ -220,8 +220,8 @@ genbase::Result<SvdSummary> SvdAnalytics(const linalg::MatrixView& x,
   linalg::SvdOptions opt;
   opt.rank = s.rank;
   opt.quality = quality;
-  GENBASE_ASSIGN_OR_RETURN(linalg::SvdResult svd,
-                           linalg::TruncatedSvd(x, opt, ctx));
+  GENBASE_ASSIGN_OR_RETURN(linalg::SingularValuesResult svd,
+                           linalg::TruncatedSingularValues(x, opt, ctx));
   s.iterations = svd.lanczos_iterations;
   s.singular_values = std::move(svd.singular_values);
   return s;

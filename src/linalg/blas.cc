@@ -70,27 +70,33 @@ void Gemv(const MatrixView& a, const double* x, double* y, ThreadPool* pool) {
   }
 }
 
-void GemvTranspose(const MatrixView& a, const double* x, double* y,
-                   ThreadPool* pool) {
+namespace {
+
+/// y = sum_i coef(i) * a_i over the rows a_i of A, where coef(i) is called
+/// once per row just before that row is accumulated. Fixed-size row shards
+/// (independent of the pool width) so the reduction tree — per-shard
+/// partials merged in shard order — is identical for any thread count: y is
+/// bitwise-stable across pools.
+template <typename Coef>
+void ShardedRowAccumulate(const MatrixView& a, Coef coef, double* y,
+                          ThreadPool* pool) {
   const KernelOps& ops = ActiveKernels();
   std::fill(y, y + a.cols, 0.0);
-  // Fixed-size row shards (independent of the pool width) so the reduction
-  // tree — per-shard partials merged in shard order — is identical for any
-  // thread count: y is bitwise-stable across pools.
   constexpr int64_t kShardRows = 256;
   const int64_t shards = (a.rows + kShardRows - 1) / kShardRows;
-  if (shards <= 1) {
-    for (int64_t i = 0; i < a.rows; ++i) {
-      ops.axpy(x[i], a.data + i * a.stride, y, a.cols);
+  auto rows_into = [&](int64_t lo, int64_t hi, double* acc) {
+    for (int64_t i = lo; i < hi; ++i) {
+      const double* row = a.data + i * a.stride;
+      ops.axpy(coef(i, row), row, acc, a.cols);
     }
+  };
+  if (shards <= 1) {
+    rows_into(0, a.rows, y);
     return;
   }
   auto shard_into = [&](int64_t s, double* part) {
     const int64_t lo = s * kShardRows;
-    const int64_t hi = std::min<int64_t>(a.rows, lo + kShardRows);
-    for (int64_t i = lo; i < hi; ++i) {
-      ops.axpy(x[i], a.data + i * a.stride, part, a.cols);
-    }
+    rows_into(lo, std::min<int64_t>(a.rows, lo + kShardRows), part);
   };
   if (pool != nullptr && pool->num_threads() > 1 && a.rows >= 512) {
     std::vector<std::vector<double>> partials(
@@ -109,6 +115,27 @@ void GemvTranspose(const MatrixView& a, const double* x, double* y,
       ops.axpy(1.0, part.data(), y, a.cols);
     }
   }
+}
+
+}  // namespace
+
+void GemvTranspose(const MatrixView& a, const double* x, double* y,
+                   ThreadPool* pool) {
+  ShardedRowAccumulate(
+      a, [x](int64_t i, const double*) { return x[i]; }, y, pool);
+}
+
+void GramApply(const MatrixView& a, const double* x, double* y,
+               ThreadPool* pool) {
+  const KernelOps& ops = ActiveKernels();
+  // t_i = a_i . x is formed exactly as Gemv forms it, and consumed by the
+  // axpy while row i is still in L1: one pass over A instead of two.
+  ShardedRowAccumulate(
+      a,
+      [&ops, x, &a](int64_t, const double* row) {
+        return ops.dot(row, x, a.cols);
+      },
+      y, pool);
 }
 
 namespace {

@@ -26,6 +26,14 @@ void Gemv(const MatrixView& a, const double* x, double* y,
 void GemvTranspose(const MatrixView& a, const double* x, double* y,
                    ThreadPool* pool = nullptr);
 
+/// y = A^T (A x) (A: m x n, x and y: n) in one pass over A: each row's
+/// t_i = a_i . x feeds y += t_i a_i while the row is still in cache. Bitwise
+/// equal to Gemv into a temporary followed by GemvTranspose, for any pool
+/// (same dot kernel, same row shards, same shard-order merge). The Gram
+/// operator behind the Lanczos SVD of Query 4.
+void GramApply(const MatrixView& a, const double* x, double* y,
+               ThreadPool* pool = nullptr);
+
 /// BLAS-3 -------------------------------------------------------------------
 ///
 /// All BLAS-3 entry points dispatch on simd::ActiveBackend(): kScalar keeps

@@ -39,8 +39,6 @@ genbase::Result<LanczosResult> LanczosImpl(const LinearOperator& op,
   std::copy(v.begin(), v.end(), basis.Row(0));
 
   std::vector<double> w(static_cast<size_t>(n), 0.0);
-  std::vector<double> theta;      // Ritz values of T_j, ascending.
-  Matrix s;                       // Eigenvectors of T_j.
   int j = 0;
   bool converged = false;
 
@@ -65,48 +63,35 @@ genbase::Result<LanczosResult> LanczosImpl(const LinearOperator& op,
         }
       }
     }
-    double b_j = Nrm2(w.data(), n);
+    const double b_j = Nrm2(w.data(), n);
 
-    // Convergence test on the projected (tridiagonal) problem.
+    // Convergence test on the projected (tridiagonal) problem. The residual
+    // bound of Ritz pair i is |beta_j * s_{m,i}|, so only the bottom row of
+    // T_m's eigenvector matrix is needed: rotate the unit row e_m^T instead
+    // of the m x m identity (O(m^2) per step instead of O(m^3)).
     const int m = j + 1;
     if (m >= k || b_j <= 1e-300) {
       std::vector<double> d(alpha.begin(), alpha.end());
       std::vector<double> e(beta.begin(), beta.end());
       e.resize(static_cast<size_t>(m), 0.0);
-      Matrix z(m, m);
-      for (int i = 0; i < m; ++i) z(i, i) = 1.0;
-      GENBASE_RETURN_NOT_OK(SymmetricTridiagonalEigen(&d, &e, &z));
-      // Residual bound for Ritz pair i: |beta_j * z(m-1, i)|.
+      Matrix bottom(1, m);
+      bottom(0, m - 1) = 1.0;
+      GENBASE_RETURN_NOT_OK(SymmetricTridiagonalEigen(&d, &e, &bottom));
       bool all_ok = m >= k;
       for (int i = 0; i < k && all_ok; ++i) {
         const int col = m - 1 - i;  // Largest eigenvalues at the end.
-        const double resid = std::fabs(b_j * z(m - 1, col));
+        const double resid = std::fabs(b_j * bottom(0, col));
         const double scale = std::max(1e-30, std::fabs(d[col]));
         if (resid > options.tolerance * scale) all_ok = false;
       }
-      if (all_ok || b_j <= 1e-300 || j + 1 == max_iter) {
-        theta = std::move(d);
-        s = std::move(z);
+      // b_j == 0: invariant subspace, T_m is exact and nothing is left.
+      if (all_ok || b_j <= 1e-300 || m == max_iter) {
         converged = all_ok;
         ++j;
         break;
       }
     }
 
-    if (b_j <= 1e-300) {
-      // Invariant subspace hit before k pairs: restart with a fresh random
-      // direction orthogonal to the basis.
-      for (auto& x : w) x = rng.Gaussian();
-      for (int i = 0; i <= j; ++i) {
-        const double c = Dot(basis.Row(i), w.data(), n);
-        Axpy(-c, basis.Row(i), w.data(), n);
-      }
-      b_j = Nrm2(w.data(), n);
-      if (b_j <= 1e-300) {
-        ++j;
-        break;  // Whole space exhausted.
-      }
-    }
     beta.push_back(b_j);
     if (j + 1 < max_iter) {
       double* vnext = basis.Row(j + 1);
@@ -114,18 +99,19 @@ genbase::Result<LanczosResult> LanczosImpl(const LinearOperator& op,
     }
   }
 
+  // The one full eigendecomposition of T_m; eigenvectors only if the Ritz
+  // vectors are wanted.
   const int m = std::min<int>(j, static_cast<int>(alpha.size()));
-  if (theta.empty()) {
-    std::vector<double> d(alpha.begin(), alpha.begin() + m);
-    std::vector<double> e(beta.begin(),
-                          beta.begin() + std::max(0, m - 1));
-    e.resize(static_cast<size_t>(m), 0.0);
-    Matrix z(m, m);
-    for (int i = 0; i < m; ++i) z(i, i) = 1.0;
-    GENBASE_RETURN_NOT_OK(SymmetricTridiagonalEigen(&d, &e, &z));
-    theta = std::move(d);
-    s = std::move(z);
+  std::vector<double> theta(alpha.begin(), alpha.begin() + m);  // Ascending.
+  std::vector<double> e(beta.begin(), beta.begin() + std::max(0, m - 1));
+  e.resize(static_cast<size_t>(m), 0.0);
+  Matrix s;  // Eigenvectors of T_m.
+  if (options.compute_vectors) {
+    s = Matrix(m, m);
+    for (int i = 0; i < m; ++i) s(i, i) = 1.0;
   }
+  GENBASE_RETURN_NOT_OK(SymmetricTridiagonalEigen(
+      &theta, &e, options.compute_vectors ? &s : nullptr));
 
   LanczosResult result;
   result.iterations = m;

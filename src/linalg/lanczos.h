@@ -40,7 +40,11 @@ struct LanczosResult {
 /// of symmetric positive semidefinite matrices." Full reorthogonalization
 /// (two-pass modified Gram-Schmidt against the stored basis) keeps the basis
 /// orthogonal at the cost of O(iter * n) extra work per step; the ablation
-/// bench compares against selective reorthogonalization.
+/// bench (BM_LanczosNoReorth) compares against no reorthogonalization. The
+/// per-step convergence test solves the projected tridiagonal problem for
+/// its eigenvalues and the bottom row of its eigenvectors only (O(iter^2));
+/// the full eigenvector matrix is formed once, after the loop, and only when
+/// compute_vectors is set.
 genbase::Result<LanczosResult> LanczosLargestEigenpairs(
     const LinearOperator& op, const LanczosOptions& options,
     ExecContext* ctx = nullptr);

@@ -7,23 +7,27 @@
 
 namespace genbase::linalg {
 
-genbase::Result<SvdResult> TruncatedSvd(const MatrixView& a,
-                                        const SvdOptions& options,
-                                        ExecContext* ctx) {
+namespace {
+
+/// Lanczos on the Gram operator v -> A^T (A v), never formed explicitly.
+/// The one iteration behind both TruncatedSvd and TruncatedSingularValues.
+genbase::Result<LanczosResult> GramLanczos(const MatrixView& a,
+                                           const SvdOptions& options,
+                                           bool compute_vectors,
+                                           ExecContext* ctx) {
   const int64_t m = a.rows;
   const int64_t n = a.cols;
   if (m == 0 || n == 0) return Status::InvalidArgument("empty matrix in SVD");
   ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
   const bool tuned = options.quality == KernelQuality::kTuned;
 
-  // Gram operator: y = A^T (A x); temp buffer reused across applications.
-  std::vector<double> tmp(static_cast<size_t>(m));
+  // Naive-path temp buffer, reused across applications.
+  std::vector<double> tmp(tuned ? 0 : static_cast<size_t>(m));
   LinearOperator op;
   op.n = n;
   op.apply = [&](const double* x, double* y) -> genbase::Status {
     if (tuned) {
-      Gemv(a, x, tmp.data(), pool);
-      GemvTranspose(a, tmp.data(), y, pool);
+      GramApply(a, x, y, pool);
     } else {
       // Naive path: no parallelism, no unrolled dot products.
       for (int64_t i = 0; i < m; ++i) {
@@ -45,30 +49,59 @@ genbase::Result<SvdResult> TruncatedSvd(const MatrixView& a,
   lopt.num_eigenpairs = std::min<int>(options.rank, static_cast<int>(n));
   lopt.tolerance = options.tolerance;
   lopt.seed = options.seed;
-  lopt.compute_vectors = true;
+  lopt.compute_vectors = compute_vectors;
+  return options.reorthogonalize ? LanczosLargestEigenpairs(op, lopt, ctx)
+                                 : LanczosNoReorth(op, lopt, ctx);
+}
+
+/// sigma_i = sqrt(max(0, lambda_i)).
+std::vector<double> SingularValues(const std::vector<double>& eigenvalues) {
+  std::vector<double> sigma;
+  sigma.reserve(eigenvalues.size());
+  for (double lambda : eigenvalues) {
+    sigma.push_back(std::sqrt(std::max(0.0, lambda)));
+  }
+  return sigma;
+}
+
+}  // namespace
+
+genbase::Result<SvdResult> TruncatedSvd(const MatrixView& a,
+                                        const SvdOptions& options,
+                                        ExecContext* ctx) {
   GENBASE_ASSIGN_OR_RETURN(
-      LanczosResult lr,
-      options.reorthogonalize ? LanczosLargestEigenpairs(op, lopt, ctx)
-                              : LanczosNoReorth(op, lopt, ctx));
+      LanczosResult lr, GramLanczos(a, options, /*compute_vectors=*/true, ctx));
+  const int64_t m = a.rows;
+  const int64_t n = a.cols;
+  ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
 
   SvdResult out;
   out.lanczos_iterations = lr.iterations;
-  const int k = static_cast<int>(lr.eigenvalues.size());
-  out.singular_values.resize(k);
+  out.singular_values = SingularValues(lr.eigenvalues);
+  const int k = static_cast<int>(out.singular_values.size());
   out.v = std::move(lr.eigenvectors);
   out.u = Matrix(m, k);
   std::vector<double> av(static_cast<size_t>(m));
   std::vector<double> vcol(static_cast<size_t>(n));
   for (int i = 0; i < k; ++i) {
-    const double lambda = std::max(0.0, lr.eigenvalues[i]);
-    const double sigma = std::sqrt(lambda);
-    out.singular_values[i] = sigma;
+    const double sigma = out.singular_values[i];
     for (int64_t t = 0; t < n; ++t) vcol[t] = out.v(t, i);
     Gemv(a, vcol.data(), av.data(), pool);
     if (sigma > 1e-12) {
       for (int64_t t = 0; t < m; ++t) out.u(t, i) = av[t] / sigma;
     }
   }
+  return out;
+}
+
+genbase::Result<SingularValuesResult> TruncatedSingularValues(
+    const MatrixView& a, const SvdOptions& options, ExecContext* ctx) {
+  GENBASE_ASSIGN_OR_RETURN(
+      LanczosResult lr,
+      GramLanczos(a, options, /*compute_vectors=*/false, ctx));
+  SingularValuesResult out;
+  out.singular_values = SingularValues(lr.eigenvalues);
+  out.lanczos_iterations = lr.iterations;
   return out;
 }
 

@@ -35,6 +35,18 @@ genbase::Result<SvdResult> TruncatedSvd(const MatrixView& a,
                                         const SvdOptions& options,
                                         ExecContext* ctx = nullptr);
 
+/// \brief Singular values only, from the same Lanczos iteration as
+/// TruncatedSvd (bitwise-equal values and iteration count) but without
+/// forming Ritz vectors or U. What Query 4 reports.
+struct SingularValuesResult {
+  std::vector<double> singular_values;  ///< Descending.
+  int lanczos_iterations = 0;
+};
+
+genbase::Result<SingularValuesResult> TruncatedSingularValues(
+    const MatrixView& a, const SvdOptions& options,
+    ExecContext* ctx = nullptr);
+
 }  // namespace genbase::linalg
 
 #endif  // GENBASE_LINALG_SVD_H_

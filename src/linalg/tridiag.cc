@@ -19,9 +19,10 @@ genbase::Status SymmetricTridiagonalEigen(std::vector<double>* diag,
   if (static_cast<int64_t>(off->size()) < n) {
     return Status::InvalidArgument("off-diagonal vector too short");
   }
-  if (z != nullptr && (z->rows() != n || z->cols() != n)) {
-    return Status::InvalidArgument("eigenvector matrix must be n x n");
+  if (z != nullptr && z->cols() != n) {
+    return Status::InvalidArgument("eigenvector matrix must have n columns");
   }
+  const int64_t z_rows = z != nullptr ? z->rows() : 0;
   std::vector<double>& d = *diag;
   std::vector<double> e(off->begin(), off->end());
   // Shift e so e[i] couples d[i] and d[i+1]; e[n-1] = 0 sentinel.
@@ -64,7 +65,7 @@ genbase::Status SymmetricTridiagonalEigen(std::vector<double>* diag,
           d[i + 1] = g + p;
           g = c * r - b;
           if (z != nullptr) {
-            for (int64_t k = 0; k < n; ++k) {
+            for (int64_t k = 0; k < z_rows; ++k) {
               f = (*z)(k, i + 1);
               (*z)(k, i + 1) = s * (*z)(k, i) + c * f;
               (*z)(k, i) = c * (*z)(k, i) - s * f;
@@ -87,9 +88,9 @@ genbase::Status SymmetricTridiagonalEigen(std::vector<double>* diag,
   std::vector<double> sorted_d(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) sorted_d[i] = d[order[i]];
   if (z != nullptr) {
-    Matrix sorted_z(n, n);
+    Matrix sorted_z(z_rows, n);
     for (int64_t j = 0; j < n; ++j) {
-      for (int64_t i = 0; i < n; ++i) sorted_z(i, j) = (*z)(i, order[j]);
+      for (int64_t i = 0; i < z_rows; ++i) sorted_z(i, j) = (*z)(i, order[j]);
     }
     *z = std::move(sorted_z);
   }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -312,6 +314,40 @@ TEST(TridiagTest, MatchesJacobiOnRandomTridiagonal) {
   }
 }
 
+TEST(TridiagTest, BottomRowMatchesFullEigenvectors) {
+  // Rotating only the unit row e_{n-1}^T must reproduce, bit for bit, the
+  // eigenvalues and the last row of the eigenvectors from the n x n run.
+  for (int64_t n : {1, 2, 50, 220}) {
+    Rng rng(static_cast<uint64_t>(90 + n));
+    std::vector<double> d(static_cast<size_t>(n)), e(static_cast<size_t>(n));
+    for (auto& v : d) v = rng.Gaussian();
+    for (auto& v : e) v = rng.Gaussian();
+    std::vector<double> d_full = d, e_full = e;
+    Matrix full(n, n);
+    for (int64_t i = 0; i < n; ++i) full(i, i) = 1.0;
+    ASSERT_TRUE(SymmetricTridiagonalEigen(&d_full, &e_full, &full).ok());
+    Matrix bottom(1, n);
+    bottom(0, n - 1) = 1.0;
+    ASSERT_TRUE(SymmetricTridiagonalEigen(&d, &e, &bottom).ok());
+    ASSERT_EQ(bottom.rows(), 1);
+    ASSERT_EQ(bottom.cols(), n);
+    EXPECT_EQ(std::memcmp(d.data(), d_full.data(), d.size() * sizeof(double)),
+              0)
+        << "n=" << n;
+    EXPECT_EQ(std::memcmp(bottom.Row(0), full.Row(n - 1),
+                          static_cast<size_t>(n) * sizeof(double)),
+              0)
+        << "n=" << n;
+  }
+}
+
+TEST(TridiagTest, RejectsWrongColumnCount) {
+  std::vector<double> d = {1.0, 2.0, 3.0};
+  std::vector<double> e = {0.5, 0.5, 0.0};
+  Matrix z(1, 2);
+  EXPECT_FALSE(SymmetricTridiagonalEigen(&d, &e, &z).ok());
+}
+
 // --- Jacobi ----------------------------------------------------------------------
 
 TEST(JacobiTest, EigenEquationHolds) {
@@ -410,6 +446,157 @@ TEST(LanczosTest, DeterministicForSeed) {
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1->eigenvalues, r2->eigenvalues);
+}
+
+TEST(LanczosTest, ZeroOperatorStopsAtInvariantSubspace) {
+  // A x = 0: the first residual vanishes, T_1 = [0] is exact, and fewer
+  // than k Ritz pairs exist, so the run stops unconverged after one step.
+  LinearOperator op;
+  op.n = 10;
+  op.apply = [](const double*, double* y) {
+    std::fill(y, y + 10, 0.0);
+    return genbase::Status::OK();
+  };
+  LanczosOptions opt;
+  opt.num_eigenpairs = 3;
+  auto r = LanczosLargestEigenpairs(op, opt);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->iterations, 1);
+  EXPECT_EQ(r->eigenvalues, std::vector<double>({0.0}));
+  EXPECT_FALSE(r->converged);
+  EXPECT_EQ(r->eigenvectors.cols(), 1);
+}
+
+// Oracle for the convergence test: the Lanczos loop with a full m x m
+// eigenvector matrix solved at every step from m = k on, and the result
+// taken from the solve that stopped the loop. It shares no code with
+// LanczosImpl beyond the BLAS-1 kernels and the tridiagonal solver.
+struct OracleLanczos {
+  std::vector<double> eigenvalues;
+  int iterations = 0;
+  bool converged = false;
+};
+
+OracleLanczos FullEigenvectorLanczos(const LinearOperator& op,
+                                     const LanczosOptions& options) {
+  const int64_t n = op.n;
+  const int k = std::min<int>(options.num_eigenpairs, static_cast<int>(n));
+  const int max_iter =
+      options.max_iterations > 0
+          ? std::min<int>(options.max_iterations, static_cast<int>(n))
+          : std::min<int64_t>(n, 2 * k + 120);
+  Matrix basis(max_iter, n);
+  std::vector<double> alpha, beta;
+  Rng rng(options.seed);
+  std::vector<double> v(static_cast<size_t>(n));
+  for (auto& x : v) x = rng.Gaussian();
+  Scal(1.0 / Nrm2(v.data(), n), v.data(), n);
+  std::copy(v.begin(), v.end(), basis.Row(0));
+  std::vector<double> w(static_cast<size_t>(n));
+  std::vector<double> theta;
+  OracleLanczos out;
+  int j = 0;
+  for (j = 0; j < max_iter; ++j) {
+    const double* vj = basis.Row(j);
+    GENBASE_CHECK_OK(op.apply(vj, w.data()));
+    const double a_j = Dot(vj, w.data(), n);
+    alpha.push_back(a_j);
+    Axpy(-a_j, vj, w.data(), n);
+    if (j > 0) Axpy(-beta[j - 1], basis.Row(j - 1), w.data(), n);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (int i = 0; i <= j; ++i) {
+        const double c = Dot(basis.Row(i), w.data(), n);
+        if (c != 0.0) Axpy(-c, basis.Row(i), w.data(), n);
+      }
+    }
+    const double b_j = Nrm2(w.data(), n);
+    const int m = j + 1;
+    if (m >= k || b_j <= 1e-300) {
+      std::vector<double> d(alpha.begin(), alpha.end());
+      std::vector<double> e(beta.begin(), beta.end());
+      e.resize(static_cast<size_t>(m), 0.0);
+      Matrix z(m, m);
+      for (int i = 0; i < m; ++i) z(i, i) = 1.0;
+      GENBASE_CHECK_OK(SymmetricTridiagonalEigen(&d, &e, &z));
+      bool all_ok = m >= k;
+      for (int i = 0; i < k && all_ok; ++i) {
+        const int col = m - 1 - i;
+        const double resid = std::fabs(b_j * z(m - 1, col));
+        const double scale = std::max(1e-30, std::fabs(d[col]));
+        if (resid > options.tolerance * scale) all_ok = false;
+      }
+      if (all_ok || b_j <= 1e-300 || j + 1 == max_iter) {
+        theta = std::move(d);
+        out.converged = all_ok;
+        ++j;
+        break;
+      }
+    }
+    beta.push_back(b_j);
+    if (j + 1 < max_iter) {
+      double* vnext = basis.Row(j + 1);
+      for (int64_t i = 0; i < n; ++i) vnext[i] = w[i] / b_j;
+    }
+  }
+  const int m = std::min<int>(j, static_cast<int>(alpha.size()));
+  if (theta.empty()) {
+    // Capped before m reached k: one solve of the final T_m.
+    std::vector<double> d(alpha.begin(), alpha.begin() + m);
+    std::vector<double> e(beta.begin(), beta.begin() + std::max(0, m - 1));
+    e.resize(static_cast<size_t>(m), 0.0);
+    GENBASE_CHECK_OK(SymmetricTridiagonalEigen(&d, &e));
+    theta = std::move(d);
+  }
+  out.iterations = m;
+  const int found = std::min<int>(k, static_cast<int>(theta.size()));
+  for (int i = 0; i < found; ++i) {
+    out.eigenvalues.push_back(theta[theta.size() - 1 - i]);
+  }
+  return out;
+}
+
+TEST(LanczosTest, MatchesFullEigenvectorConvergenceTest) {
+  struct Case {
+    int64_t n;
+    int k;
+    int max_iterations;
+    double tolerance;
+    bool expect_converged;
+  };
+  const Case cases[] = {
+      {80, 6, 0, 1e-10, true},       // Converges well before the cap.
+      {120, 20, 0, 1e-9, true},
+      {90, 10, 14, 1e-12, false},    // Capped after the test starts at k.
+      {90, 10, 6, 1e-10, false},     // Capped before m reaches k.
+      {30, 45, 0, 1e-10, true},      // k > n: clamped to n, runs to m = n.
+  };
+  for (const Case& c : cases) {
+    Matrix a = RandomSymmetricPsd(c.n, 300 + static_cast<uint64_t>(c.n));
+    LanczosOptions opt;
+    opt.num_eigenpairs = c.k;
+    opt.max_iterations = c.max_iterations;
+    opt.tolerance = c.tolerance;
+    opt.seed = 17;
+    for (bool vectors : {true, false}) {
+      opt.compute_vectors = vectors;
+      const OracleLanczos want = FullEigenvectorLanczos(DenseOperator(a), opt);
+      ASSERT_EQ(want.converged, c.expect_converged) << "n=" << c.n;
+      if (c.max_iterations > 0) {
+        ASSERT_EQ(want.iterations, c.max_iterations) << "n=" << c.n;
+      }
+      auto got = LanczosLargestEigenpairs(DenseOperator(a), opt);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got->iterations, want.iterations) << "n=" << c.n;
+      EXPECT_EQ(got->converged, want.converged) << "n=" << c.n;
+      ASSERT_EQ(got->eigenvalues.size(), want.eigenvalues.size());
+      EXPECT_EQ(std::memcmp(got->eigenvalues.data(), want.eigenvalues.data(),
+                            want.eigenvalues.size() * sizeof(double)),
+                0)
+          << "n=" << c.n << " k=" << c.k << " vectors=" << vectors;
+      EXPECT_EQ(got->eigenvectors.cols(),
+                vectors ? static_cast<int64_t>(want.eigenvalues.size()) : 0);
+    }
+  }
 }
 
 // --- Covariance --------------------------------------------------------------------
@@ -514,6 +701,33 @@ INSTANTIATE_TEST_SUITE_P(Cases, SvdParamTest,
                                            SvdCase{60, 30, 10, 101},
                                            SvdCase{25, 25, 25, 102},
                                            SvdCase{80, 15, 15, 103}));
+
+TEST(SvdTest, ValuesOnlyMatchesTruncatedSvdBitwise) {
+  // Same Lanczos run without Ritz vectors or U: identical iteration count
+  // and bit-identical singular values, on either kernel quality, with or
+  // without a pool (600 rows takes GramApply's parallel shard merge).
+  const Matrix a = RandomMatrix(600, 40, 111);
+  ThreadPool pool(3);
+  for (KernelQuality quality : {KernelQuality::kTuned, KernelQuality::kNaive}) {
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      ExecContext ctx;
+      ctx.set_pool(p);
+      SvdOptions opt;
+      opt.rank = 12;
+      opt.quality = quality;
+      auto full = TruncatedSvd(MatrixView(a), opt, &ctx);
+      auto values = TruncatedSingularValues(MatrixView(a), opt, &ctx);
+      ASSERT_TRUE(full.ok());
+      ASSERT_TRUE(values.ok());
+      EXPECT_EQ(values->lanczos_iterations, full->lanczos_iterations);
+      ASSERT_EQ(values->singular_values.size(), full->singular_values.size());
+      EXPECT_EQ(std::memcmp(values->singular_values.data(),
+                            full->singular_values.data(),
+                            full->singular_values.size() * sizeof(double)),
+                0);
+    }
+  }
+}
 
 TEST(SvdTest, NaiveQualityMatchesTuned) {
   Matrix a = RandomMatrix(40, 18, 110);

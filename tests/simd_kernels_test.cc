@@ -292,6 +292,33 @@ TEST_P(BackendTest, GemvFamilyBitwiseStableAcrossThreadCounts) {
   }
 }
 
+TEST_P(BackendTest, GramApplyBitwiseEqualsTwoPass) {
+  // Row counts straddle the 256-row shard and the 512-row parallel-merge
+  // thresholds; the two-pass oracle runs without a pool, so a wrong shard
+  // order or merge on any pool width shows up as a bit difference.
+  ThreadPool pool1(1), pool2(2), pool4(4);
+  ThreadPool* const pools[] = {nullptr, &pool1, &pool2, &pool4};
+  for (int64_t rows : {1, 255, 256, 257, 511, 512, 1600}) {
+    for (int64_t cols : {1, 7, 190, 575}) {
+      const Matrix a = RandomMatrix(rows, cols, 2300 + rows * 7 + cols);
+      const std::vector<double> x = RandomVector(cols, 2400 + cols);
+      std::vector<double> tmp(static_cast<size_t>(rows));
+      std::vector<double> want(static_cast<size_t>(cols));
+      Gemv(MatrixView(a), x.data(), tmp.data(), nullptr);
+      GemvTranspose(MatrixView(a), tmp.data(), want.data(), nullptr);
+      for (ThreadPool* pool : pools) {
+        std::vector<double> got(static_cast<size_t>(cols), -1.0);
+        GramApply(MatrixView(a), x.data(), got.data(), pool);
+        EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                              want.size() * sizeof(double)),
+                  0)
+            << rows << "x" << cols << " pool="
+            << (pool == nullptr ? 0 : pool->num_threads());
+      }
+    }
+  }
+}
+
 /// --- incremental Cheng–Church vs the from-scratch oracle --------------------
 
 using bicluster::PlantedBiclusterMatrix;

@@ -1,7 +1,8 @@
-// Kernel microbenchmark suite: times dot/gemv/gemm/syrk/covariance and the
-// Cheng–Church residue engines across GenBase-shaped sizes, for scalar vs
-// SIMD vs threaded variants, and emits BENCH_kernels.json so the perf
-// trajectory of the hot kernels is a tracked number.
+// Kernel microbenchmark suite: times dot/gemv/gemm/syrk/covariance, Query
+// 1's QR least-squares solve and the Cheng–Church residue engines across
+// GenBase-shaped sizes, for scalar vs SIMD vs threaded variants, and emits
+// BENCH_kernels.json so the perf trajectory of the hot kernels is a tracked
+// number.
 //
 //   kernelbench [--json=BENCH_kernels.json] [--baseline=FILE]
 //
@@ -39,6 +40,7 @@
 #include "linalg/blas.h"
 #include "linalg/covariance.h"
 #include "linalg/matrix.h"
+#include "linalg/qr.h"
 #include "obs/perf_counters.h"
 #include "plan/plan_engine.h"
 
@@ -65,6 +67,9 @@ constexpr int64_t kSyrkRows = 1024, kSyrkCols = 384;
 constexpr int64_t kCcRows = 384, kCcCols = 288;
 // Query 4's Gram operator on the medium Q4 selection (patients x genes).
 constexpr int64_t kGramRows = 1600, kGramCols = 575;
+// Query 1's least-squares solve on the medium design (patients x genes plus
+// the intercept).
+constexpr int64_t kQrRows = 1600, kQrCols = 576;
 
 Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
   Matrix m(rows, cols);
@@ -127,6 +132,12 @@ double KernelFlops(const std::string& kernel) {
   if (kernel == "gemv") return 2.0 * kGemvRows * kGemvCols;
   if (kernel == "gram_apply") return 4.0 * kGramRows * kGramCols;
   if (kernel == "gemm") return 2.0 * kGemmM * kGemmK * kGemmN;
+  // Householder QR of an m x n matrix: 2mn^2 - 2n^3/3 (the Q^T b and back
+  // substitution add O(mn)).
+  if (kernel == "qr") {
+    return 2.0 * kQrRows * kQrCols * kQrCols -
+           2.0 / 3.0 * kQrCols * kQrCols * kQrCols;
+  }
   // Upper triangle only (mirror is free-ish): m * n * (n + 1) FMAs.
   if (kernel == "syrk" || kernel == "covariance") {
     return static_cast<double>(kSyrkRows) * kSyrkCols * (kSyrkCols + 1);
@@ -164,6 +175,8 @@ void RegisterAll(ThreadPool* pool) {
   auto* gram_x = new std::vector<double>(RandomVector(kGramCols, 10));
   auto* gram_y = new std::vector<double>(static_cast<size_t>(kGramCols));
   auto* gram_tmp = new std::vector<double>(static_cast<size_t>(kGramRows));
+  auto* qr_a = new Matrix(RandomMatrix(kQrRows, kQrCols, 11));
+  auto* qr_b = new std::vector<double>(RandomVector(kQrRows, 12));
 
   auto reg = [](const std::string& name, auto fn) {
     benchmark::RegisterBenchmark(name.c_str(), fn)
@@ -260,6 +273,16 @@ void RegisterAll(ThreadPool* pool) {
       benchmark::ClobberMemory();
     }
     state.SetBytesProcessed(state.iterations() * 2 * gram_bytes);
+  });
+
+  // Query 1's solve, single-threaded: the blocked Householder QR (panels
+  // plus two packed Gemms per panel) with Q^T b and back substitution.
+  reg("qr/lsq", [=](benchmark::State& state) {
+    ScopedBackend sb(kSimd);
+    for (auto _ : state) {
+      auto fit = genbase::linalg::LeastSquaresQr(MatrixView(*qr_a), *qr_b);
+      benchmark::DoNotOptimize(fit);
+    }
   });
 
   // Cheng–Church residue engines: whole-extraction timing; per-iteration

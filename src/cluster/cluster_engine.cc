@@ -416,6 +416,7 @@ genbase::Result<core::QueryResult> ClusterEngine::RunQuery(
       out.svd.cols = blocks[0].cols();
       out.svd.rank = rank;
       out.svd.iterations = svd.iterations;
+      out.svd.converged = svd.converged;
       out.svd.singular_values = std::move(svd.singular_values);
       break;
     }

@@ -258,6 +258,7 @@ genbase::Result<DistributedSvdResult> DistributedTruncatedSvd(
 
   DistributedSvdResult out;
   out.iterations = lr.iterations;
+  out.converged = lr.converged;
   out.singular_values.reserve(lr.eigenvalues.size());
   for (double lambda : lr.eigenvalues) {
     out.singular_values.push_back(std::sqrt(std::max(0.0, lambda)));

@@ -43,6 +43,7 @@ genbase::Result<linalg::Matrix> DistributedCovariance(
 struct DistributedSvdResult {
   std::vector<double> singular_values;  ///< Descending.
   int iterations = 0;
+  bool converged = false;  ///< LanczosResult::converged.
 };
 
 /// \brief Distributed Lanczos SVD: the Gram operator v -> A^T (A v) is

@@ -54,11 +54,13 @@ std::string QueryResult::ToString() const {
       break;
     case QueryId::kSvd:
       std::snprintf(buf, sizeof(buf),
-                    "svd{%lldx%lld rank=%d sigma0=%.4f}",
+                    "svd{%lldx%lld rank=%d sigma0=%.4f iterations=%d "
+                    "converged=%d}",
                     static_cast<long long>(svd.rows),
                     static_cast<long long>(svd.cols), svd.rank,
                     svd.singular_values.empty() ? 0.0
-                                                : svd.singular_values[0]);
+                                                : svd.singular_values[0],
+                    svd.iterations, svd.converged ? 1 : 0);
       break;
     case QueryId::kStatistics:
       std::snprintf(buf, sizeof(buf),
@@ -223,6 +225,7 @@ genbase::Result<SvdSummary> SvdAnalytics(const linalg::MatrixView& x,
   GENBASE_ASSIGN_OR_RETURN(linalg::SingularValuesResult svd,
                            linalg::TruncatedSingularValues(x, opt, ctx));
   s.iterations = svd.lanczos_iterations;
+  s.converged = svd.converged;
   s.singular_values = std::move(svd.singular_values);
   return s;
 }

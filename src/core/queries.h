@@ -92,6 +92,9 @@ struct SvdSummary {
   int rank = 0;
   int iterations = 0;  ///< Lanczos iterations used (not compared by verify;
                        ///< cost models for per-iteration-job systems use it).
+  bool converged = false;  ///< Lanczos met its tolerance before the cap.
+                           ///< Not compared by verify either: it reports
+                           ///< how the run ended, not the answer.
   std::vector<double> singular_values;  ///< Descending, length == rank.
 };
 

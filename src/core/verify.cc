@@ -111,6 +111,8 @@ genbase::Status CompareQueryResults(const QueryResult& expected,
       return genbase::Status::OK();
     }
     case QueryId::kSvd: {
+      // iterations and converged describe the run, not the answer: not
+      // compared.
       const auto& e = expected.svd;
       const auto& a = actual.svd;
       GENBASE_RETURN_NOT_OK(CheckExact("rows", e.rows, a.rows));

@@ -246,8 +246,8 @@ genbase::Status PackedGemm(int64_t m, int64_t n, int64_t kdim,
   // not lambda-captured (each worker would see its own empty vector), so
   // the panel is handed to the task body as a plain pointer.
   static thread_local std::vector<double> bp_storage;
-  bp_storage.resize(
-      static_cast<size_t>(kKc * RoundUp(std::min(n, kNc), kMicroCols)));
+  bp_storage.resize(static_cast<size_t>(
+      std::min(kKc, kdim) * RoundUp(std::min(n, kNc), kMicroCols)));
   double* const bp = bp_storage.data();
   Status worker_status = Status::OK();
   std::mutex status_mu;
@@ -331,10 +331,19 @@ genbase::Status Gemm(const MatrixView& a, const MatrixView& b, Matrix* c,
     return Status::InvalidArgument("gemm shape mismatch");
   }
   c->Fill(0.0);
+  return GemmAccumulate(a, b, c->data(), c->cols(), pool, ctx);
+}
+
+genbase::Status GemmAccumulate(const MatrixView& a, const MatrixView& b,
+                               double* c, int64_t c_stride, ThreadPool* pool,
+                               ExecContext* ctx) {
+  if (a.cols != b.rows || c_stride < b.cols) {
+    return Status::InvalidArgument("gemm shape mismatch");
+  }
   if (UsePackedPath()) {
     return PackedGemm(a.rows, b.cols, a.cols, a.data, a.stride,
                       /*a_trans=*/false, nullptr, b.data, b.stride, nullptr,
-                      c->data(), c->cols(), /*upper_only=*/false, pool, ctx);
+                      c, c_stride, /*upper_only=*/false, pool, ctx);
   }
   const int64_t row_blocks = (a.rows + kTile - 1) / kTile;
   Status worker_status = Status::OK();
@@ -355,7 +364,7 @@ genbase::Status Gemm(const MatrixView& a, const MatrixView& b, Matrix* c,
         const int64_t k1 = std::min(a.cols, k0 + kTile);
         for (int64_t j0 = 0; j0 < b.cols; j0 += kTile) {
           const int64_t j1 = std::min(b.cols, j0 + kTile);
-          GemmBlock(a, b, c->data(), c->cols(), i0, i1, j0, j1, k0, k1);
+          GemmBlock(a, b, c, c_stride, i0, i1, j0, j1, k0, k1);
         }
       }
     }

@@ -45,9 +45,18 @@ void GramApply(const MatrixView& a, const double* x, double* y,
 
 /// C = A * B with cache-blocked tiles, parallel over row blocks. This is the
 /// "tuned linear algebra package" path (stands in for BLAS/MKL in the paper's
-/// SciDB/Madlib-C++ configurations).
+/// SciDB/Madlib-C++ configurations). Zeroes C, then runs GemmAccumulate.
 genbase::Status Gemm(const MatrixView& a, const MatrixView& b, Matrix* c,
                      ThreadPool* pool = nullptr, ExecContext* ctx = nullptr);
+
+/// C += A * B into caller storage: `c` points at an a.rows x b.cols block
+/// with row stride `c_stride` (>= b.cols), e.g. a sub-block of a larger
+/// matrix. The one Gemm implementation; the blocked QR's trailing update
+/// calls it directly.
+genbase::Status GemmAccumulate(const MatrixView& a, const MatrixView& b,
+                               double* c, int64_t c_stride,
+                               ThreadPool* pool = nullptr,
+                               ExecContext* ctx = nullptr);
 
 /// C = A^T * B, blocked and parallel.
 genbase::Status GemmTransposeA(const MatrixView& a, const MatrixView& b,

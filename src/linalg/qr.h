@@ -15,7 +15,11 @@ namespace genbase::linalg {
 /// Follows the LAPACK dgeqrf convention logically (R in the upper triangle,
 /// Householder vectors with implicit v(0)=1 below it, scalar factors in
 /// tau), but the packed storage is the TRANSPOSE of that matrix so that all
-/// inner loops run over contiguous memory (see qr.cc).
+/// inner loops run over contiguous memory. Like dgeqrf the factorization is
+/// blocked: 32-column panels are factored one column at a time, and each
+/// panel's reflectors reach the trailing columns as one block reflector
+/// I - V T V^T applied by two packed Gemms (see qr.cc). The factors are
+/// bitwise identical for any pool width.
 class HouseholderQr {
  public:
   /// Factors `a`. `a` is consumed (transposed into internal storage).
@@ -50,12 +54,15 @@ class HouseholderQr {
   /// Packed transposed factorization (n x m); row j holds A's column j.
   const Matrix& packed() const { return qrt_; }
 
+  /// Householder scalar factors, one per column (0 for a zero column).
+  const std::vector<double>& tau() const { return tau_; }
+
  private:
   HouseholderQr(Matrix qrt, std::vector<double> tau)
       : qrt_(std::move(qrt)), tau_(std::move(tau)) {}
 
-  /// Householder loop over a pre-packed transposed matrix; the single code
-  /// path behind both Factor overloads.
+  /// Blocked Householder factorization of a pre-packed transposed matrix;
+  /// the single code path behind both Factor overloads.
   static genbase::Result<HouseholderQr> FactorPacked(Matrix qrt, int64_t m,
                                                      int64_t n,
                                                      ExecContext* ctx);

@@ -102,6 +102,7 @@ genbase::Result<SingularValuesResult> TruncatedSingularValues(
   SingularValuesResult out;
   out.singular_values = SingularValues(lr.eigenvalues);
   out.lanczos_iterations = lr.iterations;
+  out.converged = lr.converged;
   return out;
 }
 

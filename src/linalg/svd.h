@@ -41,6 +41,10 @@ genbase::Result<SvdResult> TruncatedSvd(const MatrixView& a,
 struct SingularValuesResult {
   std::vector<double> singular_values;  ///< Descending.
   int lanczos_iterations = 0;
+  /// Every requested Ritz value met the tolerance before the iteration cap
+  /// (LanczosResult::converged). When false the values are estimates from
+  /// the last iteration run.
+  bool converged = false;
 };
 
 genbase::Result<SingularValuesResult> TruncatedSingularValues(

@@ -63,10 +63,11 @@ size_t CacheKeyHash::operator()(const CacheKey& k) const {
 //   covariance: flat (counts/checksums) -> inside sizeof(QueryResult)
 //   bicluster:  biclusters vector       -> counted below
 //   svd:        singular_values vector  -> counted below
+//               (iterations, converged flat)
 //   stats:      flat (counts/z-sum)     -> inside sizeof(QueryResult)
 // Any new member changes sizeof(QueryResult); if it fires, re-audit the
 // list, add any new dynamic storage, then update the expected size.
-static_assert(sizeof(core::QueryResult) == 248,
+static_assert(sizeof(core::QueryResult) == 256,
               "QueryResult changed: re-audit ApproxResultBytes' dynamic "
               "members and update this tripwire");
 

@@ -204,12 +204,20 @@ TEST_P(QrParamTest, RIsUpperTriangular) {
   }
 }
 
+// Column counts straddle the 32-column panels of the blocked factorization
+// (one panel, exactly one, one plus a column, several plus a partial), and
+// square shapes end on a 1 x 1 reflector.
 INSTANTIATE_TEST_SUITE_P(Shapes, QrParamTest,
                          ::testing::Values(QrShape{1, 1, 30},
                                            QrShape{5, 5, 31},
                                            QrShape{20, 7, 32},
                                            QrShape{100, 40, 33},
-                                           QrShape{150, 150, 34}));
+                                           QrShape{150, 150, 34},
+                                           QrShape{64, 32, 36},
+                                           QrShape{90, 33, 37},
+                                           QrShape{65, 65, 38},
+                                           QrShape{300, 97, 39},
+                                           QrShape{191, 191, 43}));
 
 TEST(QrTest, RejectsWideMatrix) {
   EXPECT_FALSE(HouseholderQr::Factor(Matrix(3, 5)).ok());
@@ -223,7 +231,10 @@ TEST(QrTest, ParallelTrailingUpdateBitIdentical) {
   ctx.set_pool(DefaultPool());
   auto parallel = HouseholderQr::Factor(a, &ctx);
   ASSERT_TRUE(parallel.ok());
-  // Column updates are independent computations: results are bit-identical.
+  // 120 columns = three full 32-column panels plus a partial one. Panels and
+  // their T factors run serially, and the trailing update's Gemms give each
+  // tile of the trailing block one owner with a fixed loop order, so the
+  // pool changes who computes a tile, not its arithmetic: bit-identical.
   for (int64_t i = 0; i < serial->packed().size(); ++i) {
     ASSERT_EQ(serial->packed().data()[i], parallel->packed().data()[i]);
   }

@@ -9,10 +9,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "bicluster/cheng_church.h"
 #include "bicluster/synthetic.h"
+#include "common/exec_context.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
@@ -20,6 +22,7 @@
 #include "linalg/covariance.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
+#include "linalg/qr.h"
 
 namespace genbase::linalg {
 namespace {
@@ -316,6 +319,196 @@ TEST_P(BackendTest, GramApplyBitwiseEqualsTwoPass) {
             << (pool == nullptr ? 0 : pool->num_threads());
       }
     }
+  }
+}
+
+/// --- blocked Householder QR vs the unblocked loop ---------------------------
+
+/// The unblocked Householder loop that the blocked factorization replaced:
+/// one reflector per column, applied to every later column as a rank-1
+/// update. Works on the same transposed layout as HouseholderQr (row j of
+/// qrt is A's column j) and is the oracle for the blocked path.
+struct UnblockedQr {
+  Matrix qrt;
+  std::vector<double> tau;
+};
+
+UnblockedQr UnblockedQrRef(const Matrix& a) {
+  const int64_t m = a.rows();
+  const int64_t n = a.cols();
+  UnblockedQr f{Matrix(n, m), std::vector<double>(static_cast<size_t>(n))};
+  Matrix& qrt = f.qrt;
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) qrt(j, i) = a(i, j);
+  }
+  for (int64_t k = 0; k < n; ++k) {
+    double* colk = qrt.Row(k);
+    double norm_x = 0.0;
+    for (int64_t i = k; i < m; ++i) norm_x += colk[i] * colk[i];
+    norm_x = std::sqrt(norm_x);
+    if (norm_x == 0.0) {
+      f.tau[k] = 0.0;
+      continue;
+    }
+    const double alpha = colk[k] >= 0 ? -norm_x : norm_x;
+    const double v0 = colk[k] - alpha;
+    const double inv_v0 = 1.0 / v0;
+    for (int64_t i = k + 1; i < m; ++i) colk[i] *= inv_v0;
+    f.tau[k] = -v0 / alpha;
+    colk[k] = alpha;
+    for (int64_t j = k + 1; j < n; ++j) {
+      double* colj = qrt.Row(j);
+      double s = colj[k];
+      for (int64_t i = k + 1; i < m; ++i) s += colk[i] * colj[i];
+      s *= f.tau[k];
+      colj[k] -= s;
+      for (int64_t i = k + 1; i < m; ++i) colj[i] -= s * colk[i];
+    }
+  }
+  return f;
+}
+
+/// min ||A x - b|| from the oracle's factors: Q^T b, then R x = (Q^T b)[0..n).
+std::vector<double> UnblockedSolve(const UnblockedQr& f,
+                                   std::vector<double> b) {
+  const int64_t n = f.qrt.rows();
+  const int64_t m = f.qrt.cols();
+  for (int64_t k = 0; k < n; ++k) {
+    if (f.tau[k] == 0.0) continue;
+    const double* colk = f.qrt.Row(k);
+    double s = b[k];
+    for (int64_t i = k + 1; i < m; ++i) s += colk[i] * b[i];
+    s *= f.tau[k];
+    b[k] -= s;
+    for (int64_t i = k + 1; i < m; ++i) b[i] -= s * colk[i];
+  }
+  std::vector<double> x(static_cast<size_t>(n));
+  for (int64_t i = n - 1; i >= 0; --i) {
+    double s = b[i];
+    for (int64_t j = i + 1; j < n; ++j) s -= f.qrt(j, i) * x[j];
+    x[i] = s / f.qrt(i, i);
+  }
+  return x;
+}
+
+/// max |got - want| / max |want|.
+double RelDiff(const std::vector<double>& got,
+               const std::vector<double>& want) {
+  double diff = 0.0, scale = 0.0;
+  for (size_t i = 0; i < want.size(); ++i) {
+    diff = std::max(diff, std::fabs(got[i] - want[i]));
+    scale = std::max(scale, std::fabs(want[i]));
+  }
+  return scale > 0.0 ? diff / scale : diff;
+}
+
+/// The upper triangle of a packed transposed factorization, row-major.
+std::vector<double> UpperR(const Matrix& qrt) {
+  std::vector<double> r;
+  for (int64_t j = 0; j < qrt.rows(); ++j) {
+    for (int64_t i = 0; i <= j; ++i) r.push_back(qrt(j, i));
+  }
+  return r;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(double)) == 0;
+}
+
+struct QrCase {
+  int64_t m, n;
+};
+
+/// Column counts around the 32-column panel (one column, one panel less
+/// one, exactly one, one plus a column, two, two plus a column, several plus
+/// a partial), each square (the last reflector is 1 x 1) and tall.
+std::vector<QrCase> PanelBoundaryCases() {
+  std::vector<QrCase> cases;
+  for (int64_t n : {1, 31, 32, 33, 64, 65, 191}) {
+    cases.push_back({n, n});
+    cases.push_back({2 * n + 7, n});
+  }
+  return cases;
+}
+
+// Not a BackendTest: the oracle does not depend on the backend, so it runs
+// once per shape and both backends are checked against it.
+TEST(BlockedQrTest, MatchesUnblockedOracleOnBothBackends) {
+  std::vector<QrCase> cases = PanelBoundaryCases();
+  cases.push_back({1600, 576});  // The medium Q1 design: 575 genes + 1.
+  for (const QrCase& c : cases) {
+    const Matrix a = RandomMatrix(c.m, c.n, 2500 + c.m * 3 + c.n);
+    const std::vector<double> b = RandomVector(c.m, 2600 + c.m);
+    const UnblockedQr want = UnblockedQrRef(a);
+    const std::vector<double> want_x = UnblockedSolve(want, b);
+    for (const simd::Backend backend :
+         {simd::Backend::kScalar, simd::Backend::kSimd}) {
+      const simd::Backend previous = simd::SetBackend(backend);
+      const std::string where = std::to_string(c.m) + "x" +
+                                std::to_string(c.n) + " " +
+                                simd::BackendName(backend);
+      auto got = HouseholderQr::Factor(MatrixView(a));
+      auto fit = LeastSquaresQr(MatrixView(a), b);
+      simd::SetBackend(previous);
+      ASSERT_TRUE(got.ok());
+      ASSERT_TRUE(fit.ok());
+      EXPECT_LT(RelDiff(UpperR(got->packed()), UpperR(want.qrt)), 1e-12)
+          << where << " R";
+      EXPECT_LT(RelDiff(got->tau(), want.tau), 1e-12) << where << " tau";
+      EXPECT_LT(RelDiff(fit->coefficients, want_x), 1e-12)
+          << where << " least-squares solution";
+    }
+  }
+}
+
+TEST_P(BackendTest, BlockedQrBitwiseStableAcrossPoolsAndOverloads) {
+  // The no-pool view factorization is the reference; every pool width and
+  // both Factor overloads (consuming and view) must reproduce its bits, and
+  // the consuming LeastSquaresQr on the widest pool must reproduce the view
+  // overload's unpooled fit.
+  // 600 x 300 gives the trailing update up to three 128-row Gemm blocks to
+  // share out.
+  ThreadPool pool1(1), pool2(2), pool4(4);
+  std::vector<QrCase> cases = PanelBoundaryCases();
+  cases.push_back({600, 300});
+  for (const QrCase& c : cases) {
+    const Matrix a = RandomMatrix(c.m, c.n, 2700 + c.m * 3 + c.n);
+    auto want = HouseholderQr::Factor(MatrixView(a));
+    ASSERT_TRUE(want.ok());
+    for (ThreadPool* pool : {&pool1, &pool2, &pool4}) {
+      ExecContext ctx;
+      ctx.set_pool(pool);
+      const std::string where = std::to_string(c.m) + "x" +
+                                std::to_string(c.n) + " pool=" +
+                                std::to_string(pool->num_threads());
+      auto view = HouseholderQr::Factor(MatrixView(a), &ctx);
+      auto consumed = HouseholderQr::Factor(Matrix(a), &ctx);
+      ASSERT_TRUE(view.ok());
+      ASSERT_TRUE(consumed.ok());
+      EXPECT_TRUE(SameBits(view->packed(), want->packed())) << where;
+      EXPECT_TRUE(SameBits(view->tau(), want->tau())) << where;
+      EXPECT_TRUE(SameBits(consumed->packed(), want->packed())) << where;
+      EXPECT_TRUE(SameBits(consumed->tau(), want->tau())) << where;
+    }
+    const std::vector<double> b = RandomVector(c.m, 2800 + c.m);
+    auto want_fit = LeastSquaresQr(MatrixView(a), b);
+    ExecContext ctx;
+    ctx.set_pool(&pool4);
+    auto fit = LeastSquaresQr(Matrix(a), b, &ctx);
+    ASSERT_TRUE(want_fit.ok());
+    ASSERT_TRUE(fit.ok());
+    EXPECT_TRUE(SameBits(fit->coefficients, want_fit->coefficients))
+        << c.m << "x" << c.n;
+    EXPECT_EQ(fit->residual_norm, want_fit->residual_norm) << c.m << "x"
+                                                           << c.n;
+    EXPECT_EQ(fit->r_squared, want_fit->r_squared) << c.m << "x" << c.n;
   }
 }
 

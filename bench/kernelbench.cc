@@ -1,5 +1,7 @@
 // Kernel microbenchmark suite: times dot/gemv/gemm/syrk/covariance, Query
-// 1's QR least-squares solve and the Cheng–Church residue engines across
+// 1's QR least-squares solve, Query 4's singular values by both methods (a
+// sweep over the generator's Q4 shapes) and its dense path's Householder
+// tridiagonalization, and the Cheng–Church residue engines across
 // GenBase-shaped sizes, for scalar vs SIMD vs threaded variants, and emits
 // BENCH_kernels.json so the perf trajectory of the hot kernels is a tracked
 // number.
@@ -39,8 +41,10 @@
 #include "engine/engine_util.h"
 #include "linalg/blas.h"
 #include "linalg/covariance.h"
+#include "linalg/dense_eigen.h"
 #include "linalg/matrix.h"
 #include "linalg/qr.h"
+#include "linalg/svd.h"
 #include "obs/perf_counters.h"
 #include "plan/plan_engine.h"
 
@@ -70,6 +74,10 @@ constexpr int64_t kGramRows = 1600, kGramCols = 575;
 // Query 1's least-squares solve on the medium design (patients x genes plus
 // the intercept).
 constexpr int64_t kQrRows = 1600, kQrCols = 576;
+// Query 4's input (patients x genes with function < 250) at the benchmark's
+// scale 0.08, for the small, medium, large and xlarge datasets.
+constexpr int64_t kQ4Shapes[][2] = {
+    {400, 190}, {1600, 575}, {3200, 1150}, {5600, 2300}};
 
 Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
   Matrix m(rows, cols);
@@ -131,6 +139,8 @@ double KernelFlops(const std::string& kernel) {
   if (kernel == "axpy") return 2.0 * kVecLen;
   if (kernel == "gemv") return 2.0 * kGemvRows * kGemvCols;
   if (kernel == "gram_apply") return 4.0 * kGramRows * kGramCols;
+  // Householder tridiagonalization of the medium Q4 Gram matrix: 4/3 n^3.
+  if (kernel == "eig") return 4.0 / 3.0 * kGramCols * kGramCols * kGramCols;
   if (kernel == "gemm") return 2.0 * kGemmM * kGemmK * kGemmN;
   // Householder QR of an m x n matrix: 2mn^2 - 2n^3/3 (the Q^T b and back
   // substitution add O(mn)).
@@ -282,6 +292,53 @@ void RegisterAll(ThreadPool* pool) {
     for (auto _ : state) {
       auto fit = genbase::linalg::LeastSquaresQr(MatrixView(*qr_a), *qr_b);
       benchmark::DoNotOptimize(fit);
+    }
+  });
+
+  // Query 4's singular values (top 50), single-threaded, by each method
+  // regardless of linalg::ChooseSvdMethod: the sweep its crossover weight
+  // comes from. Lanczos runs to its 220-step cap on these Gaussian inputs,
+  // as on the medium dataset. Inputs are built on first use, so a filtered
+  // run never allocates the 100 MB xlarge one.
+  auto* q4_inputs = new std::map<int64_t, Matrix>();  // Keyed by cols.
+  for (const auto& shape : kQ4Shapes) {
+    const int64_t m = shape[0], n = shape[1];
+    const std::string dims = std::to_string(m) + "x" + std::to_string(n);
+    for (const bool dense : {false, true}) {
+      reg("svd_values/" + std::string(dense ? "dense/" : "lanczos/") + dims,
+          [=](benchmark::State& state) {
+            ScopedBackend sb(kSimd);
+            auto it = q4_inputs->find(n);
+            if (it == q4_inputs->end()) {
+              it = q4_inputs->emplace(n, RandomMatrix(m, n, 13)).first;
+            }
+            genbase::linalg::SvdOptions opt;
+            for (auto _ : state) {
+              auto r = dense ? genbase::linalg::DenseSingularValues(
+                                   MatrixView(it->second), opt)
+                             : genbase::linalg::LanczosSingularValues(
+                                   MatrixView(it->second), opt);
+              GENBASE_CHECK(r.ok());
+              benchmark::DoNotOptimize(r);
+            }
+          });
+    }
+  }
+
+  // The dense path's reduction alone on the medium Gram matrix (the copy
+  // it destroys is made outside the timing); GFLOP/s from 4/3 n^3.
+  auto* gram_g = new Matrix(kGramCols, kGramCols);
+  GENBASE_CHECK(genbase::linalg::Syrk(MatrixView(*gram_a), gram_g).ok());
+  reg("eig/tridiag", [=](benchmark::State& state) {
+    ScopedBackend sb(kSimd);
+    std::vector<double> d, e;
+    for (auto _ : state) {
+      state.PauseTiming();
+      Matrix g = *gram_g;
+      state.ResumeTiming();
+      GENBASE_CHECK(
+          genbase::linalg::HouseholderTridiagonalize(&g, &d, &e).ok());
+      benchmark::DoNotOptimize(d.data());
     }
   });
 

@@ -417,6 +417,7 @@ genbase::Result<core::QueryResult> ClusterEngine::RunQuery(
       out.svd.rank = rank;
       out.svd.iterations = svd.iterations;
       out.svd.converged = svd.converged;
+      out.svd.method = linalg::SvdMethod::kLanczos;
       out.svd.singular_values = std::move(svd.singular_values);
       break;
     }

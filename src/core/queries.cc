@@ -54,13 +54,14 @@ std::string QueryResult::ToString() const {
       break;
     case QueryId::kSvd:
       std::snprintf(buf, sizeof(buf),
-                    "svd{%lldx%lld rank=%d sigma0=%.4f iterations=%d "
-                    "converged=%d}",
+                    "svd{%lldx%lld rank=%d sigma0=%.4f method=%s "
+                    "iterations=%d converged=%d}",
                     static_cast<long long>(svd.rows),
                     static_cast<long long>(svd.cols), svd.rank,
                     svd.singular_values.empty() ? 0.0
                                                 : svd.singular_values[0],
-                    svd.iterations, svd.converged ? 1 : 0);
+                    linalg::SvdMethodName(svd.method), svd.iterations,
+                    svd.converged ? 1 : 0);
       break;
     case QueryId::kStatistics:
       std::snprintf(buf, sizeof(buf),
@@ -168,8 +169,9 @@ genbase::Result<CovarianceSummary> CovarianceThresholdJoin(
   std::vector<double> upper(static_cast<size_t>(num_pairs));
   const linalg::MatrixView cov_view(cov);
   GENBASE_RETURN_NOT_OK(CovarianceExtractUpper(cov_view, upper.data(), ctx));
+  // Selects in place in the charged buffer: no second, untracked copy.
   GENBASE_ASSIGN_OR_RETURN(const double threshold,
-                           stats::Quantile(upper, quantile));
+                           stats::Quantile(std::move(upper), quantile));
   return CovarianceJoinPass(cov_view, samples, threshold, gene_ids, meta,
                             ctx);
 }
@@ -226,6 +228,7 @@ genbase::Result<SvdSummary> SvdAnalytics(const linalg::MatrixView& x,
                            linalg::TruncatedSingularValues(x, opt, ctx));
   s.iterations = svd.lanczos_iterations;
   s.converged = svd.converged;
+  s.method = svd.method;
   s.singular_values = std::move(svd.singular_values);
   return s;
 }

@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "linalg/covariance.h"
 #include "linalg/matrix.h"
+#include "linalg/svd.h"
 
 namespace genbase::core {
 
@@ -90,11 +91,16 @@ struct SvdSummary {
   int64_t rows = 0;
   int64_t cols = 0;
   int rank = 0;
-  int iterations = 0;  ///< Lanczos iterations used (not compared by verify;
-                       ///< cost models for per-iteration-job systems use it).
-  bool converged = false;  ///< Lanczos met its tolerance before the cap.
-                           ///< Not compared by verify either: it reports
-                           ///< how the run ended, not the answer.
+  /// Lanczos iterations run; 0 when the dense path answered (it has no
+  /// iteration). Not compared by verify; the cost models of the
+  /// per-iteration-job systems (Mahout, plpython), which always take
+  /// Lanczos, charge by it.
+  int iterations = 0;
+  bool converged = false;  ///< Lanczos met its tolerance before the cap;
+                           ///< always true on the dense path. Not compared
+                           ///< by verify either: it reports how the run
+                           ///< ended, not the answer.
+  linalg::SvdMethod method = linalg::SvdMethod::kLanczos;  ///< Not compared.
   std::vector<double> singular_values;  ///< Descending, length == rank.
 };
 

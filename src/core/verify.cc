@@ -111,8 +111,8 @@ genbase::Status CompareQueryResults(const QueryResult& expected,
       return genbase::Status::OK();
     }
     case QueryId::kSvd: {
-      // iterations and converged describe the run, not the answer: not
-      // compared.
+      // iterations, converged and method describe the run, not the
+      // answer: not compared.
       const auto& e = expected.svd;
       const auto& a = actual.svd;
       GENBASE_RETURN_NOT_OK(CheckExact("rows", e.rows, a.rows));
@@ -121,9 +121,13 @@ genbase::Status CompareQueryResults(const QueryResult& expected,
       if (e.singular_values.size() != a.singular_values.size()) {
         return genbase::Status::Internal("singular value count mismatch");
       }
-      // Lanczos from different starting vectors agrees on well-separated
-      // leading singular values; compare with a modest tolerance relative
-      // to sigma_0.
+      // The truth (core::RunReferenceQuery, tuned kernels) comes from the
+      // dense Gram eigensolve on the benchmark's shapes, while the
+      // naive-quality engines (Hadoop, Postgres) and the cluster engine
+      // still answer by Lanczos, which may stop at its iteration cap
+      // unconverged. The two agree on the leading values to ~1e-12 sigma_0
+      // on small and medium; compare with a modest tolerance relative to
+      // sigma_0.
       const double scale =
           e.singular_values.empty() ? 1.0 : e.singular_values[0];
       for (size_t i = 0; i < e.singular_values.size(); ++i) {

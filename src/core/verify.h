@@ -11,9 +11,10 @@ namespace genbase::core {
 /// Engines compute with different summation orders / kernel variants, so
 /// floating-point results match only to a tolerance. Counts must match
 /// exactly except where they derive from a floating threshold (Q2's pair
-/// count), which gets a tiny relative slack. Q4's `iterations` and
-/// `converged` are not compared: they describe how an engine's Lanczos run
-/// ended (engines may legitimately differ), not the answer.
+/// count), which gets a tiny relative slack. Q4's `iterations`,
+/// `converged` and `method` are not compared: they describe how an engine
+/// found the values (dense Gram eigensolve or Lanczos, and how a Lanczos run
+/// ended; engines may legitimately differ), not the answer.
 genbase::Status CompareQueryResults(const QueryResult& expected,
                                     const QueryResult& actual,
                                     double rel_tol = 1e-6);

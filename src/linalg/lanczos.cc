@@ -21,7 +21,7 @@ genbase::Result<LanczosResult> LanczosImpl(const LinearOperator& op,
   const int max_iter =
       options.max_iterations > 0
           ? std::min<int>(options.max_iterations, static_cast<int>(n))
-          : std::min<int64_t>(n, 2 * k + 120);
+          : LanczosIterationCap(n, k);
 
   // Lanczos basis, one row per iteration (row-major keeps reorth contiguous).
   Matrix basis(max_iter, n);
@@ -147,6 +147,11 @@ genbase::Result<LanczosResult> LanczosImpl(const LinearOperator& op,
 }
 
 }  // namespace
+
+int LanczosIterationCap(int64_t n, int num_eigenpairs) {
+  const int64_t k = std::min<int64_t>(num_eigenpairs, n);
+  return static_cast<int>(std::min<int64_t>(n, 2 * k + 120));
+}
 
 genbase::Result<LanczosResult> LanczosLargestEigenpairs(
     const LinearOperator& op, const LanczosOptions& options,

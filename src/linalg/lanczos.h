@@ -17,9 +17,13 @@ struct LinearOperator {
   std::function<genbase::Status(const double* x, double* y)> apply;
 };
 
+/// The automatic iteration cap for k eigenpairs of an n-dimensional
+/// operator: min(n, 2k + 120), with k clamped to n.
+int LanczosIterationCap(int64_t n, int num_eigenpairs);
+
 struct LanczosOptions {
   int num_eigenpairs = 50;     ///< k: the paper's Query 4 asks for 50.
-  int max_iterations = 0;      ///< 0 = auto (min(n, 2k + 120)).
+  int max_iterations = 0;      ///< 0 = auto (LanczosIterationCap).
   double tolerance = 1e-10;    ///< Residual tolerance relative to |theta|.
   uint64_t seed = 42;          ///< Starting-vector seed (deterministic).
   bool compute_vectors = true;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "linalg/blas.h"
+#include "linalg/dense_eigen.h"
 
 namespace genbase::linalg {
 
@@ -50,8 +51,7 @@ genbase::Result<LanczosResult> GramLanczos(const MatrixView& a,
   lopt.tolerance = options.tolerance;
   lopt.seed = options.seed;
   lopt.compute_vectors = compute_vectors;
-  return options.reorthogonalize ? LanczosLargestEigenpairs(op, lopt, ctx)
-                                 : LanczosNoReorth(op, lopt, ctx);
+  return LanczosLargestEigenpairs(op, lopt, ctx);
 }
 
 /// sigma_i = sqrt(max(0, lambda_i)).
@@ -64,7 +64,44 @@ std::vector<double> SingularValues(const std::vector<double>& eigenvalues) {
   return sigma;
 }
 
+/// The cost rule's weight: the dense path is chosen while its flops stay
+/// under this multiple of Lanczos'. Flops are counted as
+///   dense   = m n^2 (Syrk, upper triangle) + 4/3 n^3 (tridiagonalization),
+///   Lanczos = s (4 m n + 4 n s) for s = LanczosIterationCap(n, k) steps
+///             (GramApply plus two-pass reorthogonalization),
+/// leaving out the O(n^2) QL and Lanczos' per-step convergence tests.
+/// kernelbench's svd_values series (AVX2, one thread, 4-vCPU Xeon VM,
+/// medians of three) measured Lanczos at 2.1-5.4x the dense path's seconds
+/// per counted flop on the generator's Q4 shapes: its convergence tests
+/// and memory-bound Gram applications run far below Syrk's rate. The
+/// dense / Lanczos flop ratio is 0.28, 0.85, 1.81 and 3.88 for 400 x 190,
+/// 1600 x 575, 3200 x 1150 and 5600 x 2300, where dense ran 19x, 4.6x and
+/// 1.15x faster and Lanczos 1.34x faster; a weight of 3 (the per-flop
+/// ratio measured on the two shapes around the crossover was 2.1x and
+/// 2.9x) puts the first three on the dense path and xlarge on Lanczos.
+constexpr double kLanczosFlopWeight = 3.0;
+
 }  // namespace
+
+const char* SvdMethodName(SvdMethod method) {
+  return method == SvdMethod::kDense ? "dense" : "lanczos";
+}
+
+SvdMethod ChooseSvdMethod(int64_t rows, int64_t cols, int rank,
+                          KernelQuality quality) {
+  // Wide inputs keep Lanczos: G = A^T A would be larger than A and rank
+  // deficient.
+  if (quality != KernelQuality::kTuned || rows < cols || cols == 0) {
+    return SvdMethod::kLanczos;
+  }
+  const double m = static_cast<double>(rows);
+  const double n = static_cast<double>(cols);
+  const double s = LanczosIterationCap(cols, rank);
+  const double dense = m * n * n + 4.0 / 3.0 * n * n * n;
+  const double lanczos = s * (4.0 * m * n + 4.0 * n * s);
+  return dense < kLanczosFlopWeight * lanczos ? SvdMethod::kDense
+                                              : SvdMethod::kLanczos;
+}
 
 genbase::Result<SvdResult> TruncatedSvd(const MatrixView& a,
                                         const SvdOptions& options,
@@ -94,7 +131,7 @@ genbase::Result<SvdResult> TruncatedSvd(const MatrixView& a,
   return out;
 }
 
-genbase::Result<SingularValuesResult> TruncatedSingularValues(
+genbase::Result<SingularValuesResult> LanczosSingularValues(
     const MatrixView& a, const SvdOptions& options, ExecContext* ctx) {
   GENBASE_ASSIGN_OR_RETURN(
       LanczosResult lr,
@@ -104,6 +141,36 @@ genbase::Result<SingularValuesResult> TruncatedSingularValues(
   out.lanczos_iterations = lr.iterations;
   out.converged = lr.converged;
   return out;
+}
+
+genbase::Result<SingularValuesResult> DenseSingularValues(
+    const MatrixView& a, const SvdOptions& options, ExecContext* ctx) {
+  const int64_t n = a.cols;
+  if (a.rows == 0 || n == 0) {
+    return Status::InvalidArgument("empty matrix in SVD");
+  }
+  MemoryTracker* tracker = ctx != nullptr ? ctx->memory() : nullptr;
+  GENBASE_ASSIGN_OR_RETURN(Matrix g, Matrix::Create(n, n, tracker));
+  GENBASE_RETURN_NOT_OK(
+      Syrk(a, &g, ctx != nullptr ? ctx->pool() : nullptr, ctx));
+  GENBASE_ASSIGN_OR_RETURN(std::vector<double> lambda,
+                           SymmetricEigenvalues(std::move(g), ctx));
+  const int64_t k = std::clamp<int64_t>(options.rank, 0, n);
+  SingularValuesResult out;
+  out.singular_values = SingularValues(  // Ascending -> descending top k.
+      std::vector<double>(lambda.rbegin(), lambda.rbegin() + k));
+  out.method = SvdMethod::kDense;
+  out.converged = true;
+  return out;
+}
+
+genbase::Result<SingularValuesResult> TruncatedSingularValues(
+    const MatrixView& a, const SvdOptions& options, ExecContext* ctx) {
+  if (ChooseSvdMethod(a.rows, a.cols, options.rank, options.quality) ==
+      SvdMethod::kDense) {
+    return DenseSingularValues(a, options, ctx);
+  }
+  return LanczosSingularValues(a, options, ctx);
 }
 
 }  // namespace genbase::linalg

@@ -196,25 +196,179 @@ TEST_F(CertificateTest, Q1DesignsHaveTheBenchmarkShapes) {
   EXPECT_EQ(Medium().design.cols(), 576);
 }
 
-TEST_F(CertificateTest, Q4ReportsWhetherLanczosConverged) {
-  // Rank 50 at tolerance 1e-9: the small input converges before the
-  // 2k + 120 = 220-iteration cap; the medium input stops at the cap
-  // unconverged, and the summary has to say so.
-  auto small = SvdAnalytics(GeneMatrix(Small()), 50,
-                            linalg::KernelQuality::kTuned, nullptr);
-  ASSERT_TRUE(small.ok());
-  EXPECT_TRUE(small->converged);
-  EXPECT_LT(small->iterations, 220);
+/// Query 4's spectrum, independently: G = X^T X formed in long double,
+/// reduced to tridiagonal by a test-local long-double Householder loop on
+/// the full matrix (top-down, both triangles updated), and queried by Sturm
+/// counts.
+struct GramSpectrum {
+  std::vector<long double> diag;
+  std::vector<long double> off;  ///< off[i] couples diag[i] and diag[i+1].
+  long double trace = 0;
 
-  auto medium = SvdAnalytics(GeneMatrix(Medium()), 50,
-                             linalg::KernelQuality::kTuned, nullptr);
-  ASSERT_TRUE(medium.ok());
-  EXPECT_FALSE(medium->converged);
-  EXPECT_EQ(medium->iterations, 220);
+  /// Eigenvalues of G above x: n minus the negative pivots of the LDL^T
+  /// of T - x I, which is stable for a tridiagonal T (a zero pivot is
+  /// nudged, as in LAPACK's dstebz).
+  int64_t CountAbove(long double x) const {
+    const int64_t n = static_cast<int64_t>(diag.size());
+    int64_t below = 0;
+    long double q = 1;
+    for (int64_t i = 0; i < n; ++i) {
+      const long double c = i == 0 ? 0 : off[i - 1] * off[i - 1];
+      q = diag[i] - x - (i == 0 ? 0 : c / q);
+      if (q == 0) q = -LDBL_MIN;
+      if (q < 0) ++below;
+    }
+    return n - below;
+  }
+};
+
+GramSpectrum BuildGramSpectrum(const linalg::MatrixView& x) {
+  const int64_t m = x.rows;
+  const int64_t n = x.cols;
+  std::vector<long double> g(static_cast<size_t>(n * n), 0);
+  auto at = [&g, n](int64_t i, int64_t j) -> long double& {
+    return g[static_cast<size_t>(i * n + j)];
+  };
+  for (int64_t r = 0; r < m; ++r) {
+    for (int64_t i = 0; i < n; ++i) {
+      const long double xi = x(r, i);
+      if (xi == 0) continue;
+      for (int64_t j = 0; j <= i; ++j) at(i, j) += xi * x(r, j);
+    }
+  }
+  GramSpectrum s;
+  for (int64_t i = 0; i < n; ++i) {
+    s.trace += at(i, i);
+    for (int64_t j = 0; j < i; ++j) at(j, i) = at(i, j);
+  }
+  // Column k's reflector zeroes G(k+2:n, k); H G H on the trailing block
+  // k+1.. as p = tau G u, w = p - (tau/2)(p . u) u, G -= u w^T + w u^T.
+  std::vector<long double> u(static_cast<size_t>(n)), w(static_cast<size_t>(n));
+  for (int64_t k = 0; k + 2 < n; ++k) {
+    long double tail2 = 0;
+    for (int64_t i = k + 2; i < n; ++i) tail2 += at(i, k) * at(i, k);
+    if (tail2 == 0) continue;
+    const long double alpha = at(k + 1, k);
+    const long double norm = std::sqrt(alpha * alpha + tail2);
+    const long double beta = alpha >= 0 ? -norm : norm;
+    u[static_cast<size_t>(k + 1)] = alpha - beta;
+    for (int64_t i = k + 2; i < n; ++i) u[static_cast<size_t>(i)] = at(i, k);
+    long double utu = 0;
+    for (int64_t i = k + 1; i < n; ++i) {
+      utu += u[static_cast<size_t>(i)] * u[static_cast<size_t>(i)];
+    }
+    const long double tau = 2 / utu;
+    long double pu = 0;
+    for (int64_t i = k + 1; i < n; ++i) {
+      long double p = 0;
+      for (int64_t j = k + 1; j < n; ++j) p += at(i, j) * u[static_cast<size_t>(j)];
+      w[static_cast<size_t>(i)] = tau * p;
+      pu += w[static_cast<size_t>(i)] * u[static_cast<size_t>(i)];
+    }
+    for (int64_t i = k + 1; i < n; ++i) {
+      w[static_cast<size_t>(i)] -= tau / 2 * pu * u[static_cast<size_t>(i)];
+    }
+    for (int64_t i = k + 1; i < n; ++i) {
+      for (int64_t j = k + 1; j < n; ++j) {
+        at(i, j) -= u[static_cast<size_t>(i)] * w[static_cast<size_t>(j)] +
+                    w[static_cast<size_t>(i)] * u[static_cast<size_t>(j)];
+      }
+    }
+    at(k + 1, k) = at(k, k + 1) = beta;
+    for (int64_t i = k + 2; i < n; ++i) at(i, k) = at(k, i) = 0;
+  }
+  s.diag.resize(static_cast<size_t>(n));
+  s.off.assign(static_cast<size_t>(n), 0);
+  for (int64_t i = 0; i < n; ++i) {
+    s.diag[static_cast<size_t>(i)] = at(i, i);
+    if (i + 1 < n) s.off[static_cast<size_t>(i)] = at(i + 1, i);
+  }
+  return s;
+}
+
+/// Certifies the i-th returned singular value (1-based) by inertia: with
+/// lambda_i = sigma_i^2 and eta = delta / lambda_i, at most i - 1 of G's
+/// eigenvalues lie above lambda_i (1 + eta) and at least i above
+/// lambda_i (1 - eta), so the true i-th eigenvalue is within delta of
+/// lambda_i. delta = (m + n) eps tr(G) covers a backward-stable solve: Syrk
+/// forms G with entrywise error m eps |X|^T |X|, whose norm is at most
+/// m eps tr(G), and the Householder reduction and QL add O(n eps ||G||).
+/// A wrong reflector or a skipped update moves eigenvalues by O(||G||).
+void ExpectCertified(const GramSpectrum& spectrum, int64_t m,
+                     const std::vector<double>& sigma,
+                     const std::vector<int>& which, const std::string& where) {
+  const int64_t n = static_cast<int64_t>(spectrum.diag.size());
+  const long double delta =
+      static_cast<long double>(m + n) * DBL_EPSILON * spectrum.trace;
+  for (const int i : which) {
+    ASSERT_LE(static_cast<size_t>(i), sigma.size()) << where;
+    const long double lambda =
+        static_cast<long double>(sigma[static_cast<size_t>(i - 1)]) *
+        sigma[static_cast<size_t>(i - 1)];
+    EXPECT_LE(spectrum.CountAbove(lambda + delta), i - 1)
+        << where << ": lambda_" << i << " = " << static_cast<double>(lambda)
+        << " is too small (delta " << static_cast<double>(delta) << ")";
+    EXPECT_GE(spectrum.CountAbove(lambda - delta), i)
+        << where << ": lambda_" << i << " = " << static_cast<double>(lambda)
+        << " is too large (delta " << static_cast<double>(delta) << ")";
+  }
+}
+
+TEST_F(CertificateTest, Q4SingularValuesPassTheInertiaCertificate) {
+  // All 50 values on small; i = 1, 25, 50 on medium keeps the run short.
+  std::vector<int> all(50);
+  for (int i = 0; i < 50; ++i) all[static_cast<size_t>(i)] = i + 1;
+  const std::vector<int> spot = {1, 25, 50};
+  for (const Q1Inputs* in : {&Small(), &Medium()}) {
+    const linalg::MatrixView x = GeneMatrix(*in);
+    const GramSpectrum spectrum = BuildGramSpectrum(x);
+    for (const simd::Backend backend :
+         {simd::Backend::kScalar, simd::Backend::kSimd}) {
+      ScopedBackend scoped(backend);
+      const std::string where = std::to_string(x.rows) + "x" +
+                                std::to_string(x.cols) + " " +
+                                simd::BackendName(backend);
+      auto svd = SvdAnalytics(x, 50, linalg::KernelQuality::kTuned, nullptr);
+      ASSERT_TRUE(svd.ok()) << where << ": " << svd.status().ToString();
+      ExpectCertified(spectrum, x.rows, svd->singular_values,
+                      in == &Small() ? all : spot, where);
+    }
+  }
+}
+
+TEST_F(CertificateTest, Q4ReportsMethodAndConvergence) {
+  // Tuned kernels answer small and medium by the dense Gram eigensolve:
+  // no iterations, converged by construction. Naive kernels (the
+  // per-iteration cost models) keep Lanczos, which on medium stops at the
+  // 2k + 120 = 220-step cap unconverged (sigma_50 and sigma_51 are 0.3%
+  // apart), and the summary has to say so.
+  for (const Q1Inputs* in : {&Small(), &Medium()}) {
+    auto tuned = SvdAnalytics(GeneMatrix(*in), 50,
+                              linalg::KernelQuality::kTuned, nullptr);
+    ASSERT_TRUE(tuned.ok());
+    EXPECT_EQ(tuned->method, linalg::SvdMethod::kDense);
+    EXPECT_EQ(tuned->iterations, 0);
+    EXPECT_TRUE(tuned->converged);
+    QueryResult result;
+    result.query = QueryId::kSvd;
+    result.svd = *tuned;
+    EXPECT_NE(result.ToString().find("method=dense iterations=0 converged=1"),
+              std::string::npos)
+        << result.ToString();
+  }
+
+  auto naive = SvdAnalytics(GeneMatrix(Medium()), 50,
+                            linalg::KernelQuality::kNaive, nullptr);
+  ASSERT_TRUE(naive.ok());
+  EXPECT_EQ(naive->method, linalg::SvdMethod::kLanczos);
+  EXPECT_FALSE(naive->converged);
+  EXPECT_EQ(naive->iterations, 220);
   QueryResult result;
   result.query = QueryId::kSvd;
-  result.svd = *medium;
-  EXPECT_NE(result.ToString().find("converged=0"), std::string::npos)
+  result.svd = *naive;
+  EXPECT_NE(
+      result.ToString().find("method=lanczos iterations=220 converged=0"),
+      std::string::npos)
       << result.ToString();
 }
 

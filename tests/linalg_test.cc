@@ -8,6 +8,7 @@
 #include "common/thread_pool.h"
 #include "linalg/blas.h"
 #include "linalg/covariance.h"
+#include "linalg/dense_eigen.h"
 #include "linalg/jacobi.h"
 #include "linalg/lanczos.h"
 #include "linalg/matrix.h"
@@ -380,6 +381,79 @@ TEST(JacobiTest, RejectsNonSquare) {
   EXPECT_FALSE(JacobiEigen(Matrix(3, 4)).ok());
 }
 
+// --- Dense symmetric eigenvalues -------------------------------------------------
+
+TEST(DenseEigenTest, MatchesJacobiReadingTheLowerTriangleOnly) {
+  // NaN in the strict upper triangle: any read of it would poison the
+  // spectrum. Sizes cover the no-reflector cases (n <= 2) and a row that is
+  // already tridiagonal (zero couplings skip the reflector).
+  for (const int64_t n : {1, 2, 3, 7, 40}) {
+    Matrix a = RandomSymmetricPsd(n, 70 + n);
+    if (n == 7) {
+      for (int64_t j = 0; j < 5; ++j) a(6, j) = a(j, 6) = 0.0;
+    }
+    auto want = JacobiEigen(a);
+    ASSERT_TRUE(want.ok());
+    Matrix lower = a;
+    for (int64_t i = 0; i < n; ++i) {
+      for (int64_t j = i + 1; j < n; ++j) lower(i, j) = std::nan("");
+    }
+    auto got = SymmetricEigenvalues(std::move(lower));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->size(), static_cast<size_t>(n));
+    const double scale = std::max(1.0, std::fabs(want->values.back()));
+    for (int64_t i = 0; i < n; ++i) {
+      EXPECT_NEAR((*got)[i], want->values[i], 1e-12 * scale)
+          << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(DenseEigenTest, IndefiniteSpectrumAndRejectsNonSquare) {
+  // diag(3, -1, 2) under a fixed rotation keeps its eigenvalues.
+  const double c = std::cos(0.3), s = std::sin(0.3);
+  Matrix q(3, 3);
+  q(0, 0) = c, q(0, 1) = -s, q(1, 0) = s, q(1, 1) = c, q(2, 2) = 1.0;
+  const double lambda[3] = {3.0, -1.0, 2.0};
+  Matrix a(3, 3);
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 3; ++j) {
+      for (int k = 0; k < 3; ++k) a(i, j) += q(i, k) * lambda[k] * q(j, k);
+    }
+  }
+  auto got = SymmetricEigenvalues(a);
+  ASSERT_TRUE(got.ok());
+  EXPECT_NEAR((*got)[0], -1.0, 1e-14);
+  EXPECT_NEAR((*got)[1], 2.0, 1e-14);
+  EXPECT_NEAR((*got)[2], 3.0, 1e-14);
+  EXPECT_FALSE(SymmetricEigenvalues(Matrix(3, 4)).ok());
+}
+
+TEST(DenseEigenTest, DenseSvdChargesTheTracker) {
+  // G (n x n) and the reduction's workspace are charged while they live
+  // and released on return; a budget below G fails cleanly.
+  const Matrix a = RandomMatrix(200, 60, 71);
+  SvdOptions opt;
+  opt.rank = 10;
+  ASSERT_EQ(ChooseSvdMethod(200, 60, 10, KernelQuality::kTuned),
+            SvdMethod::kDense);
+  MemoryTracker tracker(1 << 20);
+  ExecContext ctx;
+  ctx.set_memory(&tracker);
+  auto ok = TruncatedSingularValues(MatrixView(a), opt, &ctx);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_GE(tracker.peak(), 60 * 60 * 8 + 2 * 60 * 8);
+  EXPECT_EQ(tracker.used(), 0);
+
+  MemoryTracker small(60 * 60 * 8 - 1);
+  ExecContext tight;
+  tight.set_memory(&small);
+  auto oom = TruncatedSingularValues(MatrixView(a), opt, &tight);
+  ASSERT_FALSE(oom.ok());
+  EXPECT_TRUE(oom.status().IsOutOfMemory());
+  EXPECT_EQ(small.used(), 0);
+}
+
 // --- Lanczos ---------------------------------------------------------------------
 
 LinearOperator DenseOperator(const Matrix& a) {
@@ -714,22 +788,30 @@ INSTANTIATE_TEST_SUITE_P(Cases, SvdParamTest,
                                            SvdCase{80, 15, 15, 103}));
 
 TEST(SvdTest, ValuesOnlyMatchesTruncatedSvdBitwise) {
-  // Same Lanczos run without Ritz vectors or U: identical iteration count
-  // and bit-identical singular values, on either kernel quality, with or
-  // without a pool (600 rows takes GramApply's parallel shard merge).
-  const Matrix a = RandomMatrix(600, 40, 111);
+  // Wherever the rule picks Lanczos, the values-only path is the same
+  // Lanczos run without Ritz vectors or U: identical iteration count and
+  // bit-identical singular values, with or without a pool (600 rows takes
+  // GramApply's parallel shard merge). Naive quality always takes Lanczos;
+  // a wide input takes it on tuned kernels too.
+  struct Case {
+    int64_t rows, cols;
+    KernelQuality quality;
+  };
   ThreadPool pool(3);
-  for (KernelQuality quality : {KernelQuality::kTuned, KernelQuality::kNaive}) {
+  for (const Case c : {Case{600, 40, KernelQuality::kNaive},
+                       Case{600, 640, KernelQuality::kTuned}}) {
+    const Matrix a = RandomMatrix(c.rows, c.cols, 111);
     for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
       ExecContext ctx;
       ctx.set_pool(p);
       SvdOptions opt;
       opt.rank = 12;
-      opt.quality = quality;
+      opt.quality = c.quality;
       auto full = TruncatedSvd(MatrixView(a), opt, &ctx);
       auto values = TruncatedSingularValues(MatrixView(a), opt, &ctx);
       ASSERT_TRUE(full.ok());
       ASSERT_TRUE(values.ok());
+      EXPECT_EQ(values->method, SvdMethod::kLanczos);
       EXPECT_EQ(values->lanczos_iterations, full->lanczos_iterations);
       ASSERT_EQ(values->singular_values.size(), full->singular_values.size());
       EXPECT_EQ(std::memcmp(values->singular_values.data(),
@@ -738,6 +820,56 @@ TEST(SvdTest, ValuesOnlyMatchesTruncatedSvdBitwise) {
                 0);
     }
   }
+}
+
+TEST(SvdTest, DenseValuesMatchTruncatedSvd) {
+  // Tuned kernels on a tall input take the dense Gram eigensolve: no
+  // iterations, converged by construction, and the same top values as the
+  // Lanczos TruncatedSvd within 1e-12 sigma_0, with or without a pool.
+  const Matrix a = RandomMatrix(600, 40, 111);
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    ExecContext ctx;
+    ctx.set_pool(p);
+    SvdOptions opt;
+    opt.rank = 12;
+    auto full = TruncatedSvd(MatrixView(a), opt, &ctx);
+    auto values = TruncatedSingularValues(MatrixView(a), opt, &ctx);
+    ASSERT_TRUE(full.ok());
+    ASSERT_TRUE(values.ok());
+    EXPECT_EQ(values->method, SvdMethod::kDense);
+    EXPECT_EQ(values->lanczos_iterations, 0);
+    EXPECT_TRUE(values->converged);
+    ASSERT_EQ(values->singular_values.size(), full->singular_values.size());
+    const double sigma0 = full->singular_values[0];
+    for (size_t i = 0; i < full->singular_values.size(); ++i) {
+      EXPECT_NEAR(values->singular_values[i], full->singular_values[i],
+                  1e-12 * sigma0)
+          << "i=" << i;
+    }
+  }
+}
+
+TEST(SvdTest, CostRulePinsTheBenchmarkShapes) {
+  // Query 4's shapes at the benchmark's scale: small and medium (and large)
+  // take the dense path; xlarge, where Lanczos needs ~4x fewer flops, naive
+  // kernels and wide inputs take Lanczos.
+  EXPECT_EQ(ChooseSvdMethod(400, 190, 50, KernelQuality::kTuned),
+            SvdMethod::kDense);
+  EXPECT_EQ(ChooseSvdMethod(1600, 575, 50, KernelQuality::kTuned),
+            SvdMethod::kDense);
+  EXPECT_EQ(ChooseSvdMethod(3200, 1150, 50, KernelQuality::kTuned),
+            SvdMethod::kDense);
+  EXPECT_EQ(ChooseSvdMethod(5600, 2300, 50, KernelQuality::kTuned),
+            SvdMethod::kLanczos);
+  EXPECT_EQ(ChooseSvdMethod(1600, 575, 50, KernelQuality::kNaive),
+            SvdMethod::kLanczos);
+  EXPECT_EQ(ChooseSvdMethod(400, 190, 50, KernelQuality::kNaive),
+            SvdMethod::kLanczos);
+  EXPECT_EQ(ChooseSvdMethod(40, 600, 12, KernelQuality::kTuned),
+            SvdMethod::kLanczos);
+  EXPECT_STREQ(SvdMethodName(SvdMethod::kDense), "dense");
+  EXPECT_STREQ(SvdMethodName(SvdMethod::kLanczos), "lanczos");
 }
 
 TEST(SvdTest, NaiveQualityMatchesTuned) {

@@ -120,7 +120,16 @@ TEST(SvdAnalyticsTest, RankClampedToColumns) {
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(s->rank, 6);
   EXPECT_EQ(s->singular_values.size(), 6u);
-  EXPECT_GT(s->iterations, 0);
+  // Tuned kernels on a tall input: the dense Gram eigensolve answers.
+  EXPECT_EQ(s->method, linalg::SvdMethod::kDense);
+  EXPECT_EQ(s->iterations, 0);
+  EXPECT_TRUE(s->converged);
+  auto naive = SvdAnalytics(linalg::MatrixView(x), 50,
+                            linalg::KernelQuality::kNaive, nullptr);
+  ASSERT_TRUE(naive.ok());
+  EXPECT_EQ(naive->rank, 6);
+  EXPECT_EQ(naive->method, linalg::SvdMethod::kLanczos);
+  EXPECT_GT(naive->iterations, 0);
 }
 
 // --- StatsAnalytics ------------------------------------------------------------------

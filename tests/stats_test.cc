@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "stats/normal.h"
@@ -158,21 +161,22 @@ TEST(QuantileTest, RejectsBadInput) {
   EXPECT_FALSE(Quantile({1.0}, -0.1).ok());
 }
 
-TEST(SampledQuantileTest, FullCopyWhenSmall) {
-  const std::vector<double> v = {1, 2, 3, 4, 5};
-  auto q = SampledQuantile(v.data(), 5, 0.5, 100, 1);
-  ASSERT_TRUE(q.ok());
-  EXPECT_DOUBLE_EQ(*q, 3.0);
-}
-
-TEST(SampledQuantileTest, SampleApproximatesTrueQuantile) {
+TEST(QuantileTest, ConsumingFormSelectsInPlaceAndMatchesTheCopy) {
   Rng rng(77);
-  std::vector<double> v(200000);
-  for (auto& x : v) x = rng.Uniform();
-  auto q = SampledQuantile(v.data(), static_cast<int64_t>(v.size()), 0.9,
-                           20000, 7);
-  ASSERT_TRUE(q.ok());
-  EXPECT_NEAR(*q, 0.9, 0.02);
+  std::vector<double> v(20000);
+  for (auto& x : v) x = rng.Gaussian();
+  const std::vector<double> original = v;
+  auto copied = Quantile(v, 0.9);
+  ASSERT_TRUE(copied.ok());
+  EXPECT_EQ(v, original);  // The const& form leaves its input alone.
+  auto consumed = Quantile(std::move(v), 0.9);
+  ASSERT_TRUE(consumed.ok());
+  EXPECT_EQ(std::memcmp(&*copied, &*consumed, sizeof(double)), 0);
+  // Selected in the caller's buffer: the pivot sits at its rank.
+  const size_t idx = static_cast<size_t>(0.9 * 20000);
+  EXPECT_EQ(v.size(), original.size());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(v[idx], *consumed);          // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(Quantile(std::vector<double>{}, 0.5).ok());
 }
 
 // --- Wilcoxon -----------------------------------------------------------------------

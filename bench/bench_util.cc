@@ -12,6 +12,7 @@
 #include "core/config.h"
 #include "core/generator.h"
 #include "engine/engines.h"
+#include "linalg/kernels.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -214,6 +215,7 @@ const RunStamp& CurrentRunStamp() {
     auto* s = new RunStamp();
     s->git_sha = DetectGitSha();
     s->kernel_backend = simd::BackendName(simd::ActiveBackend());
+    s->kernel_set = linalg::ActiveKernels().name;
     s->timestamp = IsoUtcNow();
     return s;
   }();
@@ -222,10 +224,11 @@ const RunStamp& CurrentRunStamp() {
 
 std::string StampJson() {
   const RunStamp& s = CurrentRunStamp();
-  // All three fields are shell-safe strings (hex sha, backend identifier,
-  // ISO timestamp) — no escaping needed.
+  // All fields are shell-safe strings (hex sha, backend and kernel-set
+  // identifiers, ISO timestamp) — no escaping needed.
   return "{\"git_sha\":\"" + s.git_sha + "\",\"kernel_backend\":\"" +
-         s.kernel_backend + "\",\"timestamp\":\"" + s.timestamp + "\"}";
+         s.kernel_backend + "\",\"kernel_set\":\"" + s.kernel_set +
+         "\",\"timestamp\":\"" + s.timestamp + "\"}";
 }
 
 ObsDumpPaths ExtractObsPaths(int* argc, char** argv) {

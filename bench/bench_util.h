@@ -76,6 +76,9 @@ std::string ExtractJsonPath(int* argc, char** argv);
 struct RunStamp {
   std::string git_sha;         ///< GENBASE_GIT_SHA, else `git rev-parse`.
   std::string kernel_backend;  ///< simd::BackendName of the active backend.
+  /// linalg::ActiveKernels().name: "avx512", "avx2" or "scalar". Runs on
+  /// different sets are different series to the bench-history doctor.
+  std::string kernel_set;
   std::string timestamp;       ///< ISO-8601 UTC at stamp time.
 };
 
@@ -83,7 +86,7 @@ struct RunStamp {
 const RunStamp& CurrentRunStamp();
 
 /// The stamp as a JSON object: `{"git_sha":...,"kernel_backend":...,
-/// "timestamp":...}`.
+/// "kernel_set":...,"timestamp":...}`.
 std::string StampJson();
 
 /// Observability dump destinations for a figure run (empty = skip).

@@ -4,7 +4,10 @@
 // tridiagonalization, and the Cheng–Church residue engines across
 // GenBase-shaped sizes, for scalar vs SIMD vs threaded variants, and emits
 // BENCH_kernels.json so the perf trajectory of the hot kernels is a tracked
-// number.
+// number. Gemm, Syrk and the QR solve are also timed under every kernel set
+// the CPU runs (`*/set_<name>`), next to a register-only FMA-peak probe per
+// set (`peak/set_<name>`), so each set's GFLOP/s reads as a fraction of the
+// peak of its own instructions.
 //
 //   kernelbench [--json=BENCH_kernels.json] [--baseline=FILE]
 //
@@ -24,6 +27,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define GENBASE_KERNELBENCH_X86 1
+#include <immintrin.h>
+#endif
 #include <string>
 #include <vector>
 
@@ -42,6 +50,7 @@
 #include "linalg/blas.h"
 #include "linalg/covariance.h"
 #include "linalg/dense_eigen.h"
+#include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "linalg/qr.h"
 #include "linalg/svd.h"
@@ -133,8 +142,130 @@ class ScopedBackend {
 constexpr auto kScalar = genbase::simd::Backend::kScalar;
 constexpr auto kSimd = genbase::simd::Backend::kSimd;
 
-/// FLOP counts per invocation, for the GFLOP/s column.
-double KernelFlops(const std::string& kernel) {
+/// Scoped simd backend with one kernel set pinned, for the per-set series.
+class ScopedKernelSet {
+ public:
+  explicit ScopedKernelSet(const genbase::linalg::KernelOps* ops)
+      : backend_(kSimd), previous_(genbase::linalg::PinKernels(ops)) {}
+  ~ScopedKernelSet() { genbase::linalg::PinKernels(previous_); }
+
+ private:
+  ScopedBackend backend_;
+  const genbase::linalg::KernelOps* previous_;
+};
+
+/// --- register-only FMA peak, one probe per kernel set ------------------------
+/// Twelve independent chains of acc = acc * m + c (enough in flight to cover
+/// the multiply-add latency on two ports) that never touch memory: the
+/// loop's flop rate is this core's ceiling for the set's instructions. The
+/// scalar set is baseline-ISA code, which the compiler may vectorize to
+/// SSE2, so on x86 its probe is SSE2 mul + add; elsewhere plain C++.
+constexpr int64_t kPeakSteps = 1 << 15;
+constexpr int kPeakChains = 12;
+constexpr double kPeakMul = 0.999999, kPeakAdd = 1e-6;
+
+#ifdef GENBASE_KERNELBENCH_X86
+constexpr int kScalarPeakLanes = 2;
+
+double PeakScalar(int64_t steps) {
+  const __m128d m = _mm_set1_pd(kPeakMul);
+  const __m128d c = _mm_set1_pd(kPeakAdd);
+  __m128d acc[kPeakChains];
+#pragma GCC unroll 12
+  for (int j = 0; j < kPeakChains; ++j) acc[j] = _mm_set1_pd(1.0 + j);
+  for (int64_t s = 0; s < steps; ++s) {
+#pragma GCC unroll 12
+    for (int j = 0; j < kPeakChains; ++j) {
+      acc[j] = _mm_add_pd(_mm_mul_pd(acc[j], m), c);
+    }
+  }
+  __m128d sum = acc[0];
+#pragma GCC unroll 12
+  for (int j = 1; j < kPeakChains; ++j) sum = _mm_add_pd(sum, acc[j]);
+  return _mm_cvtsd_f64(sum);
+}
+
+__attribute__((target("avx2,fma"))) double PeakAvx2(int64_t steps) {
+  const __m256d m = _mm256_set1_pd(kPeakMul);
+  const __m256d c = _mm256_set1_pd(kPeakAdd);
+  __m256d acc[kPeakChains];
+#pragma GCC unroll 12
+  for (int j = 0; j < kPeakChains; ++j) acc[j] = _mm256_set1_pd(1.0 + j);
+  for (int64_t s = 0; s < steps; ++s) {
+#pragma GCC unroll 12
+    for (int j = 0; j < kPeakChains; ++j) {
+      acc[j] = _mm256_fmadd_pd(acc[j], m, c);
+    }
+  }
+  __m256d sum = acc[0];
+#pragma GCC unroll 12
+  for (int j = 1; j < kPeakChains; ++j) sum = _mm256_add_pd(sum, acc[j]);
+  return _mm256_cvtsd_f64(sum);
+}
+
+__attribute__((target("avx512f"))) double PeakAvx512(int64_t steps) {
+  const __m512d m = _mm512_set1_pd(kPeakMul);
+  const __m512d c = _mm512_set1_pd(kPeakAdd);
+  __m512d acc[kPeakChains];
+#pragma GCC unroll 12
+  for (int j = 0; j < kPeakChains; ++j) acc[j] = _mm512_set1_pd(1.0 + j);
+  for (int64_t s = 0; s < steps; ++s) {
+#pragma GCC unroll 12
+    for (int j = 0; j < kPeakChains; ++j) {
+      acc[j] = _mm512_fmadd_pd(acc[j], m, c);
+    }
+  }
+  __m512d sum = acc[0];
+#pragma GCC unroll 12
+  for (int j = 1; j < kPeakChains; ++j) sum = _mm512_add_pd(sum, acc[j]);
+  return _mm512_reduce_add_pd(sum);
+}
+#else
+constexpr int kScalarPeakLanes = 1;
+
+double PeakScalar(int64_t steps) {
+  double acc[kPeakChains];
+  for (int j = 0; j < kPeakChains; ++j) acc[j] = 1.0 + j;
+  for (int64_t s = 0; s < steps; ++s) {
+    for (double& a : acc) a = a * kPeakMul + kPeakAdd;
+  }
+  double sum = 0.0;
+  for (double a : acc) sum += a;
+  return sum;
+}
+#endif
+
+struct PeakProbe {
+  double (*fn)(int64_t steps);
+  int lanes;  ///< Doubles per FMA.
+  double flops() const { return 2.0 * lanes * kPeakChains * kPeakSteps; }
+};
+
+/// The probe for a kernel set by name ({nullptr, 0} when there is none).
+PeakProbe PeakProbeFor(const std::string& set) {
+  if (set == "scalar") return {PeakScalar, kScalarPeakLanes};
+#ifdef GENBASE_KERNELBENCH_X86
+  if (set == "avx2") return {PeakAvx2, 4};
+  if (set == "avx512") return {PeakAvx512, 8};
+#endif
+  return {nullptr, 0};
+}
+
+/// "gemm/set_avx2" -> "avx2"; "" for a series not tied to one kernel set.
+std::string SetOf(const std::string& name) {
+  const size_t at = name.rfind("/set_");
+  return at == std::string::npos ? "" : name.substr(at + 5);
+}
+
+std::string KernelOf(const std::string& name) {
+  return name.substr(0, name.find('/'));
+}
+
+/// FLOP counts per invocation of the named benchmark, for the GFLOP/s
+/// column.
+double KernelFlops(const std::string& name) {
+  const std::string kernel = KernelOf(name);
+  if (kernel == "peak") return PeakProbeFor(SetOf(name)).flops();
   if (kernel == "dot") return 2.0 * kVecLen;
   if (kernel == "axpy") return 2.0 * kVecLen;
   if (kernel == "gemv") return 2.0 * kGemvRows * kGemvCols;
@@ -153,10 +284,6 @@ double KernelFlops(const std::string& kernel) {
     return static_cast<double>(kSyrkRows) * kSyrkCols * (kSyrkCols + 1);
   }
   return 0.0;
-}
-
-std::string KernelOf(const std::string& name) {
-  return name.substr(0, name.find('/'));
 }
 
 /// Matches queries.cc: delta as a fraction of the full-matrix MSR.
@@ -257,6 +384,40 @@ void RegisterAll(ThreadPool* pool) {
           genbase::linalg::Syrk(MatrixView(*syrk_a), syrk_c, pool));
     }
   });
+
+  // Gemm, Syrk and Query 1's solve under each kernel set this CPU runs
+  // (the simd backend with that set pinned), with the set's FMA peak.
+  for (const genbase::linalg::KernelOps* ops :
+       genbase::linalg::AvailableKernels()) {
+    const std::string v = std::string("set_") + ops->name;
+    const PeakProbe probe = PeakProbeFor(ops->name);
+    if (probe.fn != nullptr) {
+      reg("peak/" + v, [=](benchmark::State& state) {
+        for (auto _ : state) benchmark::DoNotOptimize(probe.fn(kPeakSteps));
+      });
+    }
+    reg("gemm/" + v, [=](benchmark::State& state) {
+      ScopedKernelSet ks(ops);
+      for (auto _ : state) {
+        benchmark::DoNotOptimize(genbase::linalg::Gemm(
+            MatrixView(*gemm_a), MatrixView(*gemm_b), gemm_c));
+      }
+    });
+    reg("syrk/" + v, [=](benchmark::State& state) {
+      ScopedKernelSet ks(ops);
+      for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            genbase::linalg::Syrk(MatrixView(*syrk_a), syrk_c));
+      }
+    });
+    reg("qr/lsq/" + v, [=](benchmark::State& state) {
+      ScopedKernelSet ks(ops);
+      for (auto _ : state) {
+        auto fit = genbase::linalg::LeastSquaresQr(MatrixView(*qr_a), *qr_b);
+        benchmark::DoNotOptimize(fit);
+      }
+    });
+  }
 
   // Query 4's Gram operator y = A^T (A x), single-threaded: one pass over A
   // (GramApply) vs Gemv + GemvTranspose. bytes_per_second counts the matrix
@@ -647,6 +808,21 @@ std::map<std::string, double> ParseBaseline(const std::string& path,
   return out;
 }
 
+/// Measured GFLOP/s of a benchmark (0 when it has no FLOP count or did not
+/// run).
+double GflopsOf(const std::string& name) {
+  const auto it = Results().find(name);
+  const double flops = KernelFlops(name);
+  return it != Results().end() && flops > 0 && it->second > 0
+             ? flops / it->second
+             : 0.0;
+}
+
+/// A kernel set's measured FMA peak in GFLOP/s (0 when not measured).
+double PeakGflops(const std::string& set) {
+  return set.empty() ? 0.0 : GflopsOf("peak/set_" + set);
+}
+
 int WriteJson(const std::string& path, const ResidueAccounting& acc,
               const std::map<std::string, genbase::obs::PerfReading>& perf) {
   if (path.empty()) return 0;
@@ -657,14 +833,18 @@ int WriteJson(const std::string& path, const ResidueAccounting& acc,
   }
   std::fprintf(f, "{\"figure\":\"kernelbench\",\"stamp\":%s,\n",
                genbase::bench::StampJson().c_str());
-  std::fprintf(f, "\"cpu\":{\"avx2\":%s},\n",
-               genbase::simd::CpuSupportsAvx2() ? "true" : "false");
+  std::fprintf(f, "\"cpu\":{\"avx2\":%s,\"avx512\":%s},\n",
+               genbase::simd::CpuSupportsAvx2() ? "true" : "false",
+               genbase::simd::CpuSupportsAvx512() ? "true" : "false");
   std::fprintf(f, "\"kernels\":{\n");
   bool first = true;
   for (const auto& [name, ns] : Results()) {
-    const double flops = KernelFlops(KernelOf(name));
-    std::fprintf(f, "%s\"%s\":{\"ns\":%.1f,\"gflops\":%.3f}", first ? "" : ",\n",
-                 name.c_str(), ns, flops > 0 && ns > 0 ? flops / ns : 0.0);
+    const double gflops = GflopsOf(name);
+    std::fprintf(f, "%s\"%s\":{\"ns\":%.1f,\"gflops\":%.3f", first ? "" : ",\n",
+                 name.c_str(), ns, gflops);
+    const double peak = PeakGflops(SetOf(name));
+    if (peak > 0) std::fprintf(f, ",\"peak_frac\":%.3f", gflops / peak);
+    std::fprintf(f, "}");
     first = false;
   }
   std::fprintf(f, "\n},\n\"perf\":{");
@@ -725,12 +905,27 @@ int main(int argc, char** argv) {
   const std::map<std::string, genbase::obs::PerfReading> perf =
       ProfileKernels();
 
-  // Summary: scalar vs SIMD speedups plus the residue-engine accounting.
-  std::printf("\n--- kernelbench summary (avx2 %s) ---\n",
-              genbase::simd::CpuSupportsAvx2() ? "available" : "absent");
+  // Summary: scalar vs SIMD speedups, each kernel set against its own FMA
+  // peak, plus the residue-engine accounting.
+  std::printf("\n--- kernelbench summary (avx2 %s, avx512 %s, active set "
+              "%s) ---\n",
+              genbase::simd::CpuSupportsAvx2() ? "available" : "absent",
+              genbase::simd::CpuSupportsAvx512() ? "available" : "absent",
+              genbase::linalg::ActiveKernels().name);
   for (const char* k : {"dot", "axpy", "gemv", "gemm", "syrk",
                         "covariance"}) {
     std::printf("  %-10s simd speedup %.2fx\n", k, SpeedupOf(k));
+  }
+  for (const genbase::linalg::KernelOps* ops :
+       genbase::linalg::AvailableKernels()) {
+    const double peak = PeakGflops(ops->name);
+    if (peak <= 0) continue;
+    std::printf("  set %-7s peak %6.1f GFLOP/s", ops->name, peak);
+    for (const char* k : {"gemm", "syrk", "qr/lsq"}) {
+      const double g = GflopsOf(std::string(k) + "/set_" + ops->name);
+      if (g > 0) std::printf("  %s %.1f (%.0f%%)", k, g, 100.0 * g / peak);
+    }
+    std::printf("\n");
   }
   bool perf_valid = false;
   for (const auto& [name, reading] : perf) {

@@ -50,6 +50,15 @@ bool CpuSupportsAvx2() {
 #endif
 }
 
+bool CpuSupportsAvx512() {
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+  return __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
+
 Backend ActiveBackend() {
   int v = g_backend.load(std::memory_order_acquire);
   if (v < 0) {

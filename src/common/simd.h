@@ -7,8 +7,8 @@ namespace genbase::simd {
 ///
 /// kScalar keeps the portable blocked loops the repo shipped with; kSimd
 /// routes Dot/Axpy/Gemv and the packed Gemm/Syrk macro-kernel through the
-/// AVX2+FMA micro-kernels when the CPU has them, and through packed scalar
-/// micro-kernels otherwise (so one binary runs everywhere and the packed
+/// widest micro-kernel set the CPU has (AVX-512F, else AVX2+FMA), and
+/// through packed scalar micro-kernels otherwise (so one binary runs everywhere and the packed
 /// code paths are exercised even on non-x86 hosts).
 enum class Backend { kScalar, kSimd };
 
@@ -20,6 +20,10 @@ bool CompiledWithAvx2Support();
 
 /// Runtime CPUID check: does this machine execute AVX2+FMA?
 bool CpuSupportsAvx2();
+
+/// Runtime CPUID check: does this machine execute AVX-512F (with the OS
+/// saving ZMM state)?
+bool CpuSupportsAvx512();
 
 /// The backend every dispatching kernel consults. Resolved once, lazily:
 /// GENBASE_KERNEL_BACKEND=scalar|simd overrides; the default is kSimd (the

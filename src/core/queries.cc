@@ -74,15 +74,13 @@ std::string QueryResult::ToString() const {
   return buf;
 }
 
-genbase::Result<RegressionSummary> RegressionAnalytics(
-    linalg::Matrix design_with_intercept, const std::vector<double>& y,
-    ExecContext* ctx) {
+namespace {
+
+RegressionSummary SummarizeFit(int64_t rows, int64_t design_cols,
+                               const linalg::LeastSquaresFit& fit) {
   RegressionSummary s;
-  s.rows = design_with_intercept.rows();
-  s.predictors = design_with_intercept.cols() - 1;
-  GENBASE_ASSIGN_OR_RETURN(
-      linalg::LeastSquaresFit fit,
-      linalg::LeastSquaresQr(std::move(design_with_intercept), y, ctx));
+  s.rows = rows;
+  s.predictors = design_cols - 1;
   s.r_squared = fit.r_squared;
   double l2 = 0.0;
   for (double c : fit.coefficients) l2 += c * c;
@@ -91,6 +89,30 @@ genbase::Result<RegressionSummary> RegressionAnalytics(
   s.coef_head.assign(fit.coefficients.begin(),
                      fit.coefficients.begin() + head);
   return s;
+}
+
+}  // namespace
+
+genbase::Result<RegressionSummary> RegressionAnalytics(
+    linalg::Matrix design_with_intercept, const std::vector<double>& y,
+    ExecContext* ctx) {
+  const int64_t rows = design_with_intercept.rows();
+  const int64_t cols = design_with_intercept.cols();
+  GENBASE_ASSIGN_OR_RETURN(
+      linalg::LeastSquaresFit fit,
+      linalg::LeastSquaresQr(std::move(design_with_intercept), y, ctx));
+  return SummarizeFit(rows, cols, fit);
+}
+
+genbase::Result<RegressionSummary> RegressionAnalyticsTransposed(
+    linalg::Matrix design_t, const std::vector<double>& y,
+    ExecContext* ctx) {
+  const int64_t rows = design_t.cols();
+  const int64_t cols = design_t.rows();
+  GENBASE_ASSIGN_OR_RETURN(
+      linalg::LeastSquaresFit fit,
+      linalg::LeastSquaresQrTransposed(std::move(design_t), y, ctx));
+  return SummarizeFit(rows, cols, fit);
 }
 
 namespace {

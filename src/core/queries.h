@@ -135,6 +135,13 @@ genbase::Result<RegressionSummary> RegressionAnalytics(
     linalg::Matrix design_with_intercept, const std::vector<double>& y,
     ExecContext* ctx);
 
+/// The same with the design handed over as its transpose [1 | X]^T (one row
+/// per predictor, intercept row first): the layout the QR factors in place,
+/// so the solve makes no copy. Bit-identical to RegressionAnalytics.
+genbase::Result<RegressionSummary> RegressionAnalyticsTransposed(
+    linalg::Matrix design_t, const std::vector<double>& y,
+    ExecContext* ctx);
+
 /// Lookup used by Q2's metadata join: gene id -> (function, length).
 using GeneMetaLookup =
     std::function<genbase::Status(int64_t gene_id, int64_t* function,

@@ -24,7 +24,7 @@ genbase::Result<core::QueryResult> RunStandardAnalytics(
     case core::QueryId::kRegression: {
       GENBASE_ASSIGN_OR_RETURN(
           out.regression,
-          core::RegressionAnalytics(std::move(x), side.y, ctx));
+          core::RegressionAnalyticsTransposed(std::move(x), side.y, ctx));
       return out;
     }
     case core::QueryId::kCovariance: {
@@ -73,20 +73,23 @@ genbase::Result<core::QueryResult> RunStandardAnalytics(
                                 params, quality, ctx,
                                 std::move(bicluster_pass_hook));
   }
-  // The model.matrix step: prepend the intercept column to X.
-  linalg::Matrix design;
+  // The model.matrix step: the design [1 | X], built directly in the
+  // transposed layout the QR factors in place.
+  linalg::Matrix design_t;
   {
     ScopedPhase an(ctx, Phase::kAnalytics);
     MemoryTracker* tracker = ctx != nullptr ? ctx->memory() : nullptr;
     GENBASE_ASSIGN_OR_RETURN(
-        design, linalg::Matrix::Create(x.rows(), x.cols() + 1, tracker));
+        design_t, linalg::Matrix::Create(x.cols() + 1, x.rows(), tracker));
+    std::fill(design_t.Row(0), design_t.Row(0) + x.rows(), 1.0);
     for (int64_t i = 0; i < x.rows(); ++i) {
-      design(i, 0) = 1.0;
-      std::copy(x.Row(i), x.Row(i) + x.cols(), design.Row(i) + 1);
+      const double* row = x.Row(i);
+      for (int64_t j = 0; j < x.cols(); ++j) design_t(j + 1, i) = row[j];
     }
+    x = linalg::Matrix();
   }
-  return RunStandardAnalytics(query, inputs, std::move(design), inputs.scores,
-                              params, quality, ctx);
+  return RunStandardAnalytics(query, inputs, std::move(design_t),
+                              inputs.scores, params, quality, ctx);
 }
 
 genbase::Result<linalg::Matrix> CsvRoundTripMatrix(
@@ -382,15 +385,15 @@ genbase::Status MaterializeInputs(const ColumnarTables& tables,
   ScopedPhase dm(ctx, Phase::kDataManagement);
   const auto& gid = tables.microarray.IntColumn(MicroarrayCols::kGeneId);
   const auto& expr = tables.microarray.DoubleColumn(MicroarrayCols::kExpr);
-  const std::vector<int64_t>& rows = paths.join.right;
+  const std::vector<int64_t>& join_rows = paths.join.right;
   if (query == QueryId::kStatistics) {
     // Mean expression per gene over the sample (vectorized aggregate).
     scores->assign(static_cast<size_t>(paths.col_map.size()), 0.0);
-    for (size_t k = 0; k < rows.size(); ++k) {
+    for (size_t k = 0; k < join_rows.size(); ++k) {
       if (ctx != nullptr && (k & 262143) == 0) {
         GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
       }
-      const size_t row = static_cast<size_t>(rows[k]);
+      const size_t row = static_cast<size_t>(join_rows[k]);
       const auto it = paths.col_map.index.find(gid[row]);
       if (it != paths.col_map.index.end()) {
         (*scores)[static_cast<size_t>(it->second)] += expr[row];
@@ -403,26 +406,31 @@ genbase::Status MaterializeInputs(const ColumnarTables& tables,
     return genbase::Status::OK();
   }
   // Restructure the matched microarray triples into a dense matrix: the
-  // relational -> array conversion every non-array engine pays.
-  const int64_t offset = q1_design && query == QueryId::kRegression ? 1 : 0;
+  // relational -> array conversion every non-array engine pays. Q1's design
+  // is scattered straight into the transposed layout [1 | X]^T that the QR
+  // factors in place (one row per predictor, the intercept row first).
+  const bool design_t = q1_design && query == QueryId::kRegression;
+  const int64_t offset = design_t ? 1 : 0;
+  const int64_t rows = paths.row_map.size();
+  const int64_t cols = paths.col_map.size() + offset;
   MemoryTracker* tracker = ctx != nullptr ? ctx->memory() : nullptr;
   GENBASE_ASSIGN_OR_RETURN(
-      *x, linalg::Matrix::Create(paths.row_map.size(),
-                                 paths.col_map.size() + offset, tracker));
-  if (offset == 1) {
-    for (int64_t i = 0; i < x->rows(); ++i) (*x)(i, 0) = 1.0;
-  }
+      *x, design_t ? linalg::Matrix::Create(cols, rows, tracker)
+                   : linalg::Matrix::Create(rows, cols, tracker));
+  if (design_t) std::fill(x->Row(0), x->Row(0) + rows, 1.0);
   const auto& pid = tables.microarray.IntColumn(MicroarrayCols::kPatientId);
-  for (size_t k = 0; k < rows.size(); ++k) {
+  for (size_t k = 0; k < join_rows.size(); ++k) {
     if (ctx != nullptr && (k & 262143) == 0) {
       GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
     }
-    const size_t row = static_cast<size_t>(rows[k]);
+    const size_t row = static_cast<size_t>(join_rows[k]);
     const auto rit = paths.row_map.index.find(pid[row]);
     if (rit == paths.row_map.index.end()) continue;
     const auto cit = paths.col_map.index.find(gid[row]);
     if (cit == paths.col_map.index.end()) continue;
-    (*x)(rit->second, offset + cit->second) = expr[row];
+    const int64_t i = rit->second;
+    const int64_t j = offset + cit->second;
+    (design_t ? (*x)(j, i) : (*x)(i, j)) = expr[row];
   }
   return genbase::Status::OK();
 }

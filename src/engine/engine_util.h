@@ -40,8 +40,8 @@ struct QueryInputs : SideInputs {
 
 /// \brief Runs the analytics phase of `query` with the given kernel
 /// quality, timing it into Phase::kAnalytics. `x` is the dense matrix —
-/// for Q1 the regression design [1 | X], intercept column first, which the
-/// solve consumes; `scores` holds Q5's scores. `side` may be shared by
+/// for Q1 the transposed regression design [1 | X]^T, intercept row first,
+/// which the solve factors in place; `scores` holds Q5's scores. `side` may be shared by
 /// concurrent calls.
 genbase::Result<core::QueryResult> RunStandardAnalytics(
     core::QueryId query, const SideInputs& side, linalg::Matrix x,
@@ -140,9 +140,9 @@ genbase::Result<AccessPaths> BuildAccessPaths(const ColumnarTables& tables,
 /// \brief The per-run half: allocates the zeroed dense matrix and scatters
 /// the joined microarray triples into it (Q1..Q4), or aggregates Q5's
 /// per-gene mean scores, through `paths`. With `q1_design`, Q1's matrix is
-/// laid out as the regression design [1 | X] (the triples land at column
-/// offset 1), ready for the core RunStandardAnalytics form; otherwise it
-/// holds X alone, the QueryInputs layout. Timed into
+/// the transposed regression design [1 | X]^T ((genes + 1) x patients,
+/// intercept row first), ready for the core RunStandardAnalytics form;
+/// otherwise it holds X alone, the QueryInputs layout. Timed into
 /// Phase::kDataManagement.
 genbase::Status MaterializeInputs(const ColumnarTables& tables,
                                   core::QueryId query,

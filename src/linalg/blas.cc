@@ -6,6 +6,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/check.h"
 #include "common/simd.h"
 #include "linalg/kernels.h"
 
@@ -17,12 +18,11 @@ constexpr int64_t kTile = 64;  // Legacy scalar-path blocking.
 /// Packed-path macro blocking: depth panels of kKc are packed once per
 /// (column panel, depth) pair; each worker packs its own kMc-row block of
 /// the left operand; B panels are capped at kNc columns so the shared pack
-/// buffer stays cache-friendly (kKc * kNc doubles = 4 MiB).
+/// buffer stays cache-friendly (kKc * kNc doubles = 4 MiB). kMc holds whole
+/// micro-row strips of every kernel set (checked in PackedGemm).
 constexpr int64_t kKc = 256;
 constexpr int64_t kMc = 128;
 constexpr int64_t kNc = 2048;
-
-static_assert(kMc % kMicroRows == 0, "row block must hold whole strips");
 
 int64_t RoundUp(int64_t v, int64_t to) { return (v + to - 1) / to * to; }
 }  // namespace
@@ -161,75 +161,79 @@ void GemmBlock(const MatrixView& a, const MatrixView& b, double* c,
 
 /// --- packed register-blocked path (Backend::kSimd) --------------------------
 
-/// Packs the kc x nc panel of B (rows k0.., cols j0..) into kMicroCols-wide
-/// strips, zero-padding the last strip. With `bias`, bias[j] is subtracted
-/// from column j — the fused-centering hook used by SyrkCentered.
+/// Packs the kc x nc panel of B (rows k0.., cols j0..) into nr-wide strips,
+/// zero-padding the last strip. With `bias`, bias[j] is subtracted from
+/// column j — the fused-centering hook used by SyrkCentered.
 void PackBPanel(const double* b, int64_t stride, int64_t k0, int64_t kc,
-                int64_t j0, int64_t nc, const double* bias, double* bp) {
-  const int64_t strips = RoundUp(nc, kMicroCols) / kMicroCols;
+                int64_t j0, int64_t nc, const double* bias, int64_t nr,
+                double* bp) {
+  const int64_t strips = RoundUp(nc, nr) / nr;
   for (int64_t t = 0; t < strips; ++t) {
-    const int64_t j_begin = t * kMicroCols;
-    const int64_t width = std::min<int64_t>(kMicroCols, nc - j_begin);
-    double* dst = bp + t * kc * kMicroCols;
+    const int64_t j_begin = t * nr;
+    const int64_t width = std::min<int64_t>(nr, nc - j_begin);
+    double* dst = bp + t * kc * nr;
     for (int64_t k = 0; k < kc; ++k) {
       const double* src = b + (k0 + k) * stride + j0 + j_begin;
-      double* out = dst + k * kMicroCols;
+      double* out = dst + k * nr;
       if (bias == nullptr) {
         for (int64_t c = 0; c < width; ++c) out[c] = src[c];
       } else {
         const double* bi = bias + j0 + j_begin;
         for (int64_t c = 0; c < width; ++c) out[c] = src[c] - bi[c];
       }
-      for (int64_t c = width; c < kMicroCols; ++c) out[c] = 0.0;
+      for (int64_t c = width; c < nr; ++c) out[c] = 0.0;
     }
   }
 }
 
-/// Packs the mc x kc block of op(A) (rows i0.., depth k0..) into kMicroRows
+/// Packs the mc x kc block of op(A) (rows i0.., depth k0..) into mr-row
 /// strips. op(A) = A when !a_trans, A^T when a_trans (reading column slices
 /// of A, which packing turns into contiguous streams for the micro-kernel).
 /// `bias` subtracts bias[i] from logical row i of op(A) (the centered-Syrk
 /// left operand).
 void PackABlock(const double* a, int64_t stride, bool a_trans,
                 int64_t i0, int64_t mc, int64_t k0, int64_t kc,
-                const double* bias, double* ap) {
-  const int64_t strips = RoundUp(mc, kMicroRows) / kMicroRows;
+                const double* bias, int64_t mr, double* ap) {
+  const int64_t strips = RoundUp(mc, mr) / mr;
   for (int64_t s = 0; s < strips; ++s) {
-    const int64_t i_begin = s * kMicroRows;
-    const int64_t height = std::min<int64_t>(kMicroRows, mc - i_begin);
-    double* dst = ap + s * kc * kMicroRows;
+    const int64_t i_begin = s * mr;
+    const int64_t height = std::min<int64_t>(mr, mc - i_begin);
+    double* dst = ap + s * kc * mr;
     if (a_trans) {
       for (int64_t k = 0; k < kc; ++k) {
         const double* src = a + (k0 + k) * stride + i0 + i_begin;
-        double* out = dst + k * kMicroRows;
+        double* out = dst + k * mr;
         if (bias == nullptr) {
           for (int64_t r = 0; r < height; ++r) out[r] = src[r];
         } else {
           const double* bi = bias + i0 + i_begin;
           for (int64_t r = 0; r < height; ++r) out[r] = src[r] - bi[r];
         }
-        for (int64_t r = height; r < kMicroRows; ++r) out[r] = 0.0;
+        for (int64_t r = height; r < mr; ++r) out[r] = 0.0;
       }
     } else {
       for (int64_t k = 0; k < kc; ++k) {
-        double* out = dst + k * kMicroRows;
+        double* out = dst + k * mr;
         for (int64_t r = 0; r < height; ++r) {
           const double v = a[(i0 + i_begin + r) * stride + k0 + k];
           out[r] = bias == nullptr ? v : v - bias[i0 + i_begin + r];
         }
-        for (int64_t r = height; r < kMicroRows; ++r) out[r] = 0.0;
+        for (int64_t r = height; r < mr; ++r) out[r] = 0.0;
       }
     }
   }
 }
 
-/// C(m x n) += op(A) * B via packed panels and the dispatched micro-kernel.
-/// C must be zeroed (or hold the value to accumulate onto) on entry. With
-/// upper_only, micro-tiles entirely below the diagonal are skipped (Syrk).
+/// C(m x n) += op(A) * B via packed panels and the active set's
+/// micro-kernel, in that set's mr x nr tiles. C must be zeroed (or hold the
+/// value to accumulate onto) on entry. With upper_only, micro-tiles entirely
+/// below the diagonal are skipped (Syrk).
 ///
 /// Work is threaded over kMc row blocks of C; every element of C is owned by
 /// exactly one task and all loop orders are fixed, so results are
-/// bitwise-identical for any pool size.
+/// bitwise-identical for any pool size. They are also identical across the
+/// vector sets: the tile shape only decides which elements share a
+/// micro-kernel call, never the order of an element's own FMA chain.
 genbase::Status PackedGemm(int64_t m, int64_t n, int64_t kdim,
                            const double* a, int64_t a_stride, bool a_trans,
                            const double* a_bias, const double* b,
@@ -238,6 +242,9 @@ genbase::Status PackedGemm(int64_t m, int64_t n, int64_t kdim,
                            ThreadPool* pool, ExecContext* ctx) {
   if (m == 0 || n == 0 || kdim == 0) return Status::OK();
   const KernelOps& ops = ActiveKernels();
+  const int64_t mr = ops.mr;
+  const int64_t nr = ops.nr;
+  GENBASE_CHECK(kMc % mr == 0 && mr <= kMaxMicroRows && nr <= kMaxMicroCols);
   const int64_t row_blocks = (m + kMc - 1) / kMc;
   // Cached like the per-worker ap buffer: the hot paths call BLAS-3 once
   // per query phase, and a fresh multi-MiB allocation per call is pure
@@ -246,8 +253,8 @@ genbase::Status PackedGemm(int64_t m, int64_t n, int64_t kdim,
   // not lambda-captured (each worker would see its own empty vector), so
   // the panel is handed to the task body as a plain pointer.
   static thread_local std::vector<double> bp_storage;
-  bp_storage.resize(static_cast<size_t>(
-      std::min(kKc, kdim) * RoundUp(std::min(n, kNc), kMicroCols)));
+  bp_storage.resize(static_cast<size_t>(std::min(kKc, kdim) *
+                                        RoundUp(std::min(n, kNc), nr)));
   double* const bp = bp_storage.data();
   Status worker_status = Status::OK();
   std::mutex status_mu;
@@ -255,7 +262,7 @@ genbase::Status PackedGemm(int64_t m, int64_t n, int64_t kdim,
     const int64_t nc = std::min(kNc, n - jc);
     for (int64_t k0 = 0; k0 < kdim; k0 += kKc) {
       const int64_t kc = std::min(kKc, kdim - k0);
-      PackBPanel(b, b_stride, k0, kc, jc, nc, b_bias, bp);
+      PackBPanel(b, b_stride, k0, kc, jc, nc, b_bias, nr, bp);
       auto body = [&](int64_t blo, int64_t bhi) {
         static thread_local std::vector<double> ap_buf;
         ap_buf.resize(static_cast<size_t>(kMc * kc));
@@ -271,27 +278,26 @@ genbase::Status PackedGemm(int64_t m, int64_t n, int64_t kdim,
           const int64_t i0 = bi * kMc;
           const int64_t mc = std::min(kMc, m - i0);
           if (upper_only && jc + nc <= i0) continue;
-          PackABlock(a, a_stride, a_trans, i0, mc, k0, kc, a_bias,
+          PackABlock(a, a_stride, a_trans, i0, mc, k0, kc, a_bias, mr,
                      ap_buf.data());
-          const int64_t strips_m = RoundUp(mc, kMicroRows) / kMicroRows;
-          for (int64_t jr = 0; jr < nc; jr += kMicroCols) {
-            const double* bstrip =
-                bp + (jr / kMicroCols) * kc * kMicroCols;
-            const int64_t width = std::min(kMicroCols, nc - jr);
+          const int64_t strips_m = RoundUp(mc, mr) / mr;
+          for (int64_t jr = 0; jr < nc; jr += nr) {
+            const double* bstrip = bp + (jr / nr) * kc * nr;
+            const int64_t width = std::min(nr, nc - jr);
             for (int64_t s = 0; s < strips_m; ++s) {
-              const int64_t ir = i0 + s * kMicroRows;
+              const int64_t ir = i0 + s * mr;
               if (upper_only && jc + jr + width <= ir) continue;
-              const int64_t height = std::min(kMicroRows, i0 + mc - ir);
-              const double* astrip = ap_buf.data() + s * kc * kMicroRows;
-              if (height == kMicroRows && width == kMicroCols) {
+              const int64_t height = std::min(mr, i0 + mc - ir);
+              const double* astrip = ap_buf.data() + s * kc * mr;
+              if (height == mr && width == nr) {
                 ops.gemm_micro(kc, astrip, bstrip,
                                c + ir * c_stride + jc + jr, c_stride);
               } else {
-                double scratch[kMicroRows * kMicroCols] = {0};
-                ops.gemm_micro(kc, astrip, bstrip, scratch, kMicroCols);
+                double scratch[kMaxMicroRows * kMaxMicroCols] = {0};
+                ops.gemm_micro(kc, astrip, bstrip, scratch, nr);
                 for (int64_t r = 0; r < height; ++r) {
                   double* crow = c + (ir + r) * c_stride + jc + jr;
-                  const double* srow = scratch + r * kMicroCols;
+                  const double* srow = scratch + r * nr;
                   for (int64_t col = 0; col < width; ++col) {
                     crow[col] += srow[col];
                   }

@@ -69,6 +69,9 @@ GENBASE_AVX2 void AxpyAvx2(double alpha, const double* x, double* y,
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
+constexpr int64_t kMr = 4;
+constexpr int64_t kNr = 8;
+
 /// 4x8 micro-tile: 8 FMA accumulators, B strip streams as two vectors per
 /// depth step, A strip broadcasts one element per row.
 GENBASE_AVX2 void GemmMicroAvx2(int64_t kc, const double* ap,
@@ -78,9 +81,9 @@ GENBASE_AVX2 void GemmMicroAvx2(int64_t kc, const double* ap,
   __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
   __m256d c30 = _mm256_setzero_pd(), c31 = _mm256_setzero_pd();
   for (int64_t k = 0; k < kc; ++k) {
-    const __m256d b0 = _mm256_loadu_pd(bp + k * kMicroCols);
-    const __m256d b1 = _mm256_loadu_pd(bp + k * kMicroCols + 4);
-    const double* a = ap + k * kMicroRows;
+    const __m256d b0 = _mm256_loadu_pd(bp + k * kNr);
+    const __m256d b1 = _mm256_loadu_pd(bp + k * kNr + 4);
+    const double* a = ap + k * kMr;
     __m256d av = _mm256_broadcast_sd(a);
     c00 = _mm256_fmadd_pd(av, b0, c00);
     c01 = _mm256_fmadd_pd(av, b1, c01);
@@ -113,7 +116,8 @@ GENBASE_AVX2 void GemmMicroAvx2(int64_t kc, const double* ap,
 const KernelOps* Avx2Kernels() {
   static const bool supported = simd::CpuSupportsAvx2();
   if (!supported) return nullptr;
-  static const KernelOps ops = {"avx2", DotAvx2, AxpyAvx2, GemmMicroAvx2};
+  static const KernelOps ops = {"avx2", kMr, kNr, DotAvx2, AxpyAvx2,
+                                GemmMicroAvx2};
   return &ops;
 }
 

@@ -22,37 +22,32 @@ void AxpyScalar(double alpha, const double* x, double* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
+constexpr int64_t kMr = 4;
+constexpr int64_t kNr = 8;
+
 void GemmMicroScalar(int64_t kc, const double* ap, const double* bp,
                      double* c, int64_t ldc) {
-  double acc[kMicroRows][kMicroCols] = {};
+  double acc[kMr][kNr] = {};
   for (int64_t k = 0; k < kc; ++k) {
-    const double* a = ap + k * kMicroRows;
-    const double* b = bp + k * kMicroCols;
-    for (int64_t r = 0; r < kMicroRows; ++r) {
+    const double* a = ap + k * kMr;
+    const double* b = bp + k * kNr;
+    for (int64_t r = 0; r < kMr; ++r) {
       const double ar = a[r];
-      for (int64_t j = 0; j < kMicroCols; ++j) acc[r][j] += ar * b[j];
+      for (int64_t j = 0; j < kNr; ++j) acc[r][j] += ar * b[j];
     }
   }
-  for (int64_t r = 0; r < kMicroRows; ++r) {
+  for (int64_t r = 0; r < kMr; ++r) {
     double* crow = c + r * ldc;
-    for (int64_t j = 0; j < kMicroCols; ++j) crow[j] += acc[r][j];
+    for (int64_t j = 0; j < kNr; ++j) crow[j] += acc[r][j];
   }
 }
 
 }  // namespace
 
 const KernelOps& ScalarKernels() {
-  static const KernelOps ops = {"scalar", DotScalar, AxpyScalar,
+  static const KernelOps ops = {"scalar", kMr, kNr, DotScalar, AxpyScalar,
                                 GemmMicroScalar};
   return ops;
-}
-
-const KernelOps& ActiveKernels() {
-  if (simd::ActiveBackend() == simd::Backend::kSimd) {
-    const KernelOps* avx2 = Avx2Kernels();
-    if (avx2 != nullptr) return *avx2;
-  }
-  return ScalarKernels();
 }
 
 }  // namespace genbase::linalg

@@ -40,16 +40,11 @@ namespace {
 /// Columns per panel (LAPACK's nb).
 constexpr int64_t kQrPanel = 32;
 
-/// Checks m >= n and copies A into the transposed packed layout (n x m),
-/// charged to the context's tracker.
+/// Copies A into the transposed packed layout (n x m), charged to the
+/// context's tracker.
 genbase::Result<Matrix> PackTransposed(const MatrixView& a, ExecContext* ctx) {
   const int64_t m = a.rows;
   const int64_t n = a.cols;
-  if (m < n) {
-    return Status::InvalidArgument("QR requires rows >= cols, got " +
-                                   std::to_string(m) + " x " +
-                                   std::to_string(n));
-  }
   MemoryTracker* tracker = ctx != nullptr ? ctx->memory() : nullptr;
   GENBASE_ASSIGN_OR_RETURN(Matrix qrt, Matrix::Create(n, m, tracker));
   for (int64_t i = 0; i < m; ++i) {
@@ -161,22 +156,25 @@ genbase::Status ApplyBlockReflector(Matrix* qrt, int64_t m, int64_t k0,
 genbase::Result<HouseholderQr> HouseholderQr::Factor(Matrix a,
                                                      ExecContext* ctx) {
   GENBASE_ASSIGN_OR_RETURN(Matrix qrt, PackTransposed(MatrixView(a), ctx));
-  const int64_t m = a.rows();
-  const int64_t n = a.cols();
   a = Matrix();  // Release the input copy early.
-  return FactorPacked(std::move(qrt), m, n, ctx);
+  return FactorTransposed(std::move(qrt), ctx);
 }
 
 genbase::Result<HouseholderQr> HouseholderQr::Factor(const MatrixView& a,
                                                      ExecContext* ctx) {
   GENBASE_ASSIGN_OR_RETURN(Matrix qrt, PackTransposed(a, ctx));
-  return FactorPacked(std::move(qrt), a.rows, a.cols, ctx);
+  return FactorTransposed(std::move(qrt), ctx);
 }
 
-genbase::Result<HouseholderQr> HouseholderQr::FactorPacked(Matrix qrt,
-                                                           int64_t m,
-                                                           int64_t n,
-                                                           ExecContext* ctx) {
+genbase::Result<HouseholderQr> HouseholderQr::FactorTransposed(
+    Matrix qrt, ExecContext* ctx) {
+  const int64_t m = qrt.cols();
+  const int64_t n = qrt.rows();
+  if (m < n) {
+    return Status::InvalidArgument("QR requires rows >= cols, got " +
+                                   std::to_string(m) + " x " +
+                                   std::to_string(n));
+  }
   ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
   MemoryTracker* tracker = ctx != nullptr ? ctx->memory() : nullptr;
   std::vector<double> tau(static_cast<size_t>(n), 0.0);
@@ -314,6 +312,14 @@ genbase::Result<LeastSquaresFit> LeastSquaresQr(const MatrixView& a,
                                                 ExecContext* ctx) {
   return SolveLeastSquares(a.rows, b, [&a, ctx] {
     return HouseholderQr::Factor(a, ctx);
+  });
+}
+
+genbase::Result<LeastSquaresFit> LeastSquaresQrTransposed(
+    Matrix at, const std::vector<double>& b, ExecContext* ctx) {
+  const int64_t m = at.cols();
+  return SolveLeastSquares(m, b, [&at, ctx] {
+    return HouseholderQr::FactorTransposed(std::move(at), ctx);
   });
 }
 

@@ -32,6 +32,12 @@ class HouseholderQr {
   static genbase::Result<HouseholderQr> Factor(const MatrixView& a,
                                                ExecContext* ctx = nullptr);
 
+  /// Factors the m x n matrix A handed over as its transpose `at` (n x m;
+  /// row j holds A's column j), which becomes the packed storage: no copy
+  /// is made. Bit-identical to Factor on A.
+  static genbase::Result<HouseholderQr> FactorTransposed(
+      Matrix at, ExecContext* ctx = nullptr);
+
   int64_t rows() const { return qrt_.cols(); }
   int64_t cols() const { return qrt_.rows(); }
 
@@ -61,12 +67,6 @@ class HouseholderQr {
   HouseholderQr(Matrix qrt, std::vector<double> tau)
       : qrt_(std::move(qrt)), tau_(std::move(tau)) {}
 
-  /// Blocked Householder factorization of a pre-packed transposed matrix;
-  /// the single code path behind both Factor overloads.
-  static genbase::Result<HouseholderQr> FactorPacked(Matrix qrt, int64_t m,
-                                                     int64_t n,
-                                                     ExecContext* ctx);
-
   Matrix qrt_;
   std::vector<double> tau_;
 };
@@ -91,6 +91,11 @@ genbase::Result<LeastSquaresFit> LeastSquaresQr(Matrix a,
 genbase::Result<LeastSquaresFit> LeastSquaresQr(const MatrixView& a,
                                                 const std::vector<double>& b,
                                                 ExecContext* ctx = nullptr);
+
+/// The same fit with A handed over as its transpose (n x m, consumed; see
+/// HouseholderQr::FactorTransposed). Bit-identical to the other overloads.
+genbase::Result<LeastSquaresFit> LeastSquaresQrTransposed(
+    Matrix at, const std::vector<double>& b, ExecContext* ctx = nullptr);
 
 }  // namespace genbase::linalg
 

@@ -108,14 +108,20 @@ genbase::Result<DoctorReport> CheckHistory(
     if (const json::Value* stamp = doc.Find("stamp")) {
       run.summary.git_sha = stamp->StringOr("git_sha", "");
       run.summary.kernel_backend = stamp->StringOr("kernel_backend", "");
+      run.summary.kernel_set = stamp->StringOr("kernel_set", "");
       run.summary.timestamp = stamp->StringOr("timestamp", "");
     }
+    // Runs on different kernel sets (an AVX2 host and an AVX-512 host) are
+    // different series: the set joins the figure in every series name.
+    const std::string root = run.summary.kernel_set.empty()
+                                 ? figure
+                                 : figure + "@" + run.summary.kernel_set;
     if (const json::Value* reports = doc.Find("reports")) {
       for (const json::Value& r : reports->array) {
-        if (r.is_object()) ExtractWorkloadMetrics(figure, r, &run);
+        if (r.is_object()) ExtractWorkloadMetrics(root, r, &run);
       }
     }
-    ExtractKernelMetrics(figure, doc, &run);
+    ExtractKernelMetrics(root, doc, &run);
     run.summary.metrics = static_cast<int>(run.metrics.size());
     runs.push_back(std::move(run));
   }
@@ -195,11 +201,13 @@ std::string FormatReport(const DoctorReport& report) {
   char line[512];
   out += "bench history (oldest -> newest):\n";
   for (const RunSummary& run : report.runs) {
-    std::snprintf(line, sizeof(line), "  %-32s %-12s %-8.8s %-8s %s (%d)\n",
+    std::snprintf(line, sizeof(line),
+                  "  %-32s %-12s %-8.8s %-8s %-8s %s (%d)\n",
                   run.name.c_str(), run.figure.c_str(),
                   run.git_sha.empty() ? "-" : run.git_sha.c_str(),
                   run.kernel_backend.empty() ? "-"
                                              : run.kernel_backend.c_str(),
+                  run.kernel_set.empty() ? "-" : run.kernel_set.c_str(),
                   run.timestamp.empty() ? "-" : run.timestamp.c_str(),
                   run.metrics);
     out += line;

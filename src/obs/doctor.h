@@ -29,7 +29,9 @@ struct DoctorOptions {
 
 /// One metric of the newest run, judged.
 struct MetricVerdict {
-  std::string series;   ///< e.g. "fig7/scidb/mixed/c8/s4:qps".
+  /// e.g. "fig7@avx2/scidb/mixed/c8/s4:qps" (the "@set" part only when
+  /// the run's stamp names its kernel set).
+  std::string series;
   double value = 0.0;
   double baseline = 0.0;     ///< Median of the window (0 when is_new).
   double change = 0.0;       ///< (value - baseline) / baseline; 0 when new.
@@ -44,6 +46,7 @@ struct RunSummary {
   std::string figure;
   std::string git_sha;
   std::string kernel_backend;
+  std::string kernel_set;  ///< "avx512" / "avx2" / "scalar"; "" if unstamped.
   std::string timestamp;
   int metrics = 0;        ///< Series extracted from this artifact.
 };

@@ -27,14 +27,19 @@ std::string Fig7Run(const std::string& timestamp, double qps, double p99_s) {
   return buf;
 }
 
-std::string KernelRun(const std::string& timestamp, double gemm_ns) {
+/// A kernelbench artifact; `kernel_set` empty leaves the stamp without
+/// one, as artifacts written before stamps named their kernel set.
+std::string KernelRun(const std::string& timestamp, double gemm_ns,
+                      const std::string& kernel_set = "") {
+  const std::string set_field =
+      kernel_set.empty() ? "" : ",\"kernel_set\":\"" + kernel_set + "\"";
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "{\"figure\":\"kernelbench\","
                 "\"stamp\":{\"git_sha\":\"abc1234\","
-                "\"kernel_backend\":\"simd\",\"timestamp\":\"%s\"},"
+                "\"kernel_backend\":\"simd\"%s,\"timestamp\":\"%s\"},"
                 "\"kernels\":{\"gemm/simd\":{\"ns\":%.1f,\"gflops\":10.0}}}",
-                timestamp.c_str(), gemm_ns);
+                set_field.c_str(), timestamp.c_str(), gemm_ns);
   return buf;
 }
 
@@ -153,6 +158,33 @@ TEST(DoctorTest, KernelSeriesRegressionDetected) {
   EXPECT_FALSE(report.ok());
   const MetricVerdict* ns = FindVerdict(report, "gemm/simd:ns");
   ASSERT_NE(ns, nullptr);
+  EXPECT_TRUE(ns->regression);
+}
+
+TEST(DoctorTest, KernelSetsAreSeparateSeries) {
+  // An AVX-512 host's run must not be baselined on AVX2 hosts' runs (nor on
+  // unstamped ones): its series are new, and its own history judges it.
+  Docs docs = {{"k1.json", KernelRun("2026-08-01T00:00:00Z", 400, "avx2")},
+               {"k2.json", KernelRun("2026-08-02T00:00:00Z", 1000)},
+               {"k3.json", KernelRun("2026-08-03T00:00:00Z", 2000, "avx512")}};
+  auto result = CheckHistory(docs, DoctorOptions{});
+  ASSERT_TRUE(result.ok());
+  DoctorReport report = std::move(result).ValueOrDie();
+  EXPECT_TRUE(report.ok()) << FormatReport(report);
+  EXPECT_EQ(report.runs.back().kernel_set, "avx512");
+  const MetricVerdict* ns = FindVerdict(report, "gemm/simd:ns");
+  ASSERT_NE(ns, nullptr);
+  EXPECT_EQ(ns->series, "kernelbench@avx512/gemm/simd:ns");
+  EXPECT_TRUE(ns->is_new);
+
+  docs.emplace_back("k4.json",
+                    KernelRun("2026-08-04T00:00:00Z", 4000, "avx512"));
+  result = CheckHistory(docs, DoctorOptions{});
+  ASSERT_TRUE(result.ok());
+  report = std::move(result).ValueOrDie();
+  ns = FindVerdict(report, "gemm/simd:ns");
+  ASSERT_NE(ns, nullptr);
+  EXPECT_EQ(ns->baseline, 2000);
   EXPECT_TRUE(ns->regression);
 }
 

@@ -1,14 +1,19 @@
 // Property tests for the dispatched kernel layer: every optimized kernel is
 // compared against a naive reference across ragged shapes (n % 8 != 0,
-// single row/col, empty, aliased operands), under BOTH backends — the same
-// suite passes whether or not the host has AVX2, and whether or not the
-// build used GENBASE_NATIVE_ARCH — and the deterministic reduction paths
-// are checked for bitwise-stable results across thread counts.
+// single row/col, empty, aliased operands), under the scalar backend and
+// under the simd backend with each kernel set the CPU runs (scalar, AVX2,
+// AVX-512) pinned in turn — the same suite passes whatever the host has,
+// and whether or not the build used GENBASE_NATIVE_ARCH. The deterministic
+// reduction paths are checked for bitwise-stable results across thread
+// counts, and the AVX-512 set for bitwise equality with the AVX2 set.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +28,7 @@
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "linalg/qr.h"
+#include "linalg/svd.h"
 
 namespace genbase::linalg {
 namespace {
@@ -80,15 +86,50 @@ Matrix SyrkRef(const MatrixView& a) {
   return c;
 }
 
-/// Fixture parameterized over the kernel backend; restores the previous
-/// backend so suites compose.
-class BackendTest : public ::testing::TestWithParam<simd::Backend> {
- protected:
-  void SetUp() override { previous_ = simd::SetBackend(GetParam()); }
-  void TearDown() override { simd::SetBackend(previous_); }
+/// One kernel configuration: a backend and, under simd, the pinned kernel
+/// set (nullptr under the scalar backend, which uses no micro-kernels).
+struct KernelConfig {
+  simd::Backend backend;
+  const KernelOps* set;
+  std::string name;
+};
+
+/// The scalar backend, then the simd backend on every set this CPU runs.
+std::vector<KernelConfig> KernelConfigs() {
+  std::vector<KernelConfig> configs = {
+      {simd::Backend::kScalar, nullptr, "scalar"}};
+  for (const KernelOps* ops : AvailableKernels()) {
+    configs.push_back(
+        {simd::Backend::kSimd, ops, std::string("simd_") + ops->name});
+  }
+  return configs;
+}
+
+/// Applies a KernelConfig for one scope and restores the previous one.
+class ScopedKernelConfig {
+ public:
+  explicit ScopedKernelConfig(const KernelConfig& config)
+      : backend_(simd::SetBackend(config.backend)),
+        pin_(PinKernels(config.set)) {}
+  ~ScopedKernelConfig() {
+    PinKernels(pin_);
+    simd::SetBackend(backend_);
+  }
 
  private:
-  simd::Backend previous_ = simd::Backend::kSimd;
+  simd::Backend backend_;
+  const KernelOps* pin_;
+};
+
+/// Fixture parameterized over the kernel configuration; restores the
+/// previous one so suites compose.
+class BackendTest : public ::testing::TestWithParam<KernelConfig> {
+ protected:
+  void SetUp() override { scope_.emplace(GetParam()); }
+  void TearDown() override { scope_.reset(); }
+
+ private:
+  std::optional<ScopedKernelConfig> scope_;
 };
 
 /// Ragged lengths: multiples-of-8 boundaries on both sides, plus empty and
@@ -422,6 +463,14 @@ bool SameBits(const Matrix& a, const Matrix& b) {
                      static_cast<size_t>(a.size()) * sizeof(double)) == 0;
 }
 
+Matrix Transpose(const Matrix& a) {
+  Matrix at(a.cols(), a.rows());
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    for (int64_t j = 0; j < a.cols(); ++j) at(j, i) = a(i, j);
+  }
+  return at;
+}
+
 struct QrCase {
   int64_t m, n;
 };
@@ -439,8 +488,8 @@ std::vector<QrCase> PanelBoundaryCases() {
 }
 
 // Not a BackendTest: the oracle does not depend on the backend, so it runs
-// once per shape and both backends are checked against it.
-TEST(BlockedQrTest, MatchesUnblockedOracleOnBothBackends) {
+// once per shape and every kernel configuration is checked against it.
+TEST(BlockedQrTest, MatchesUnblockedOracleOnEveryKernelConfig) {
   std::vector<QrCase> cases = PanelBoundaryCases();
   cases.push_back({1600, 576});  // The medium Q1 design: 575 genes + 1.
   for (const QrCase& c : cases) {
@@ -448,15 +497,12 @@ TEST(BlockedQrTest, MatchesUnblockedOracleOnBothBackends) {
     const std::vector<double> b = RandomVector(c.m, 2600 + c.m);
     const UnblockedQr want = UnblockedQrRef(a);
     const std::vector<double> want_x = UnblockedSolve(want, b);
-    for (const simd::Backend backend :
-         {simd::Backend::kScalar, simd::Backend::kSimd}) {
-      const simd::Backend previous = simd::SetBackend(backend);
-      const std::string where = std::to_string(c.m) + "x" +
-                                std::to_string(c.n) + " " +
-                                simd::BackendName(backend);
+    for (const KernelConfig& config : KernelConfigs()) {
+      const std::string where =
+          std::to_string(c.m) + "x" + std::to_string(c.n) + " " + config.name;
+      ScopedKernelConfig scope(config);
       auto got = HouseholderQr::Factor(MatrixView(a));
       auto fit = LeastSquaresQr(MatrixView(a), b);
-      simd::SetBackend(previous);
       ASSERT_TRUE(got.ok());
       ASSERT_TRUE(fit.ok());
       EXPECT_LT(RelDiff(UpperR(got->packed()), UpperR(want.qrt)), 1e-12)
@@ -470,9 +516,9 @@ TEST(BlockedQrTest, MatchesUnblockedOracleOnBothBackends) {
 
 TEST_P(BackendTest, BlockedQrBitwiseStableAcrossPoolsAndOverloads) {
   // The no-pool view factorization is the reference; every pool width and
-  // both Factor overloads (consuming and view) must reproduce its bits, and
-  // the consuming LeastSquaresQr on the widest pool must reproduce the view
-  // overload's unpooled fit.
+  // every Factor overload (consuming, view and transposed) must reproduce
+  // its bits, and the consuming and transposed LeastSquaresQr on the widest
+  // pool must reproduce the view overload's unpooled fit.
   // 600 x 300 gives the trailing update up to three 128-row Gemm blocks to
   // share out.
   ThreadPool pool1(1), pool2(2), pool4(4);
@@ -490,25 +536,31 @@ TEST_P(BackendTest, BlockedQrBitwiseStableAcrossPoolsAndOverloads) {
                                 std::to_string(pool->num_threads());
       auto view = HouseholderQr::Factor(MatrixView(a), &ctx);
       auto consumed = HouseholderQr::Factor(Matrix(a), &ctx);
+      auto transposed = HouseholderQr::FactorTransposed(Transpose(a), &ctx);
       ASSERT_TRUE(view.ok());
       ASSERT_TRUE(consumed.ok());
+      ASSERT_TRUE(transposed.ok());
       EXPECT_TRUE(SameBits(view->packed(), want->packed())) << where;
       EXPECT_TRUE(SameBits(view->tau(), want->tau())) << where;
       EXPECT_TRUE(SameBits(consumed->packed(), want->packed())) << where;
       EXPECT_TRUE(SameBits(consumed->tau(), want->tau())) << where;
+      EXPECT_TRUE(SameBits(transposed->packed(), want->packed())) << where;
+      EXPECT_TRUE(SameBits(transposed->tau(), want->tau())) << where;
     }
     const std::vector<double> b = RandomVector(c.m, 2800 + c.m);
     auto want_fit = LeastSquaresQr(MatrixView(a), b);
     ExecContext ctx;
     ctx.set_pool(&pool4);
-    auto fit = LeastSquaresQr(Matrix(a), b, &ctx);
-    ASSERT_TRUE(want_fit.ok());
-    ASSERT_TRUE(fit.ok());
-    EXPECT_TRUE(SameBits(fit->coefficients, want_fit->coefficients))
-        << c.m << "x" << c.n;
-    EXPECT_EQ(fit->residual_norm, want_fit->residual_norm) << c.m << "x"
-                                                           << c.n;
-    EXPECT_EQ(fit->r_squared, want_fit->r_squared) << c.m << "x" << c.n;
+    for (auto fit : {LeastSquaresQr(Matrix(a), b, &ctx),
+                     LeastSquaresQrTransposed(Transpose(a), b, &ctx)}) {
+      ASSERT_TRUE(want_fit.ok());
+      ASSERT_TRUE(fit.ok());
+      EXPECT_TRUE(SameBits(fit->coefficients, want_fit->coefficients))
+          << c.m << "x" << c.n;
+      EXPECT_EQ(fit->residual_norm, want_fit->residual_norm)
+          << c.m << "x" << c.n;
+      EXPECT_EQ(fit->r_squared, want_fit->r_squared) << c.m << "x" << c.n;
+    }
   }
 }
 
@@ -580,11 +632,176 @@ TEST_P(BackendTest, ChengChurchIncrementalCutsResidueFlops) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, BackendTest,
-                         ::testing::Values(simd::Backend::kScalar,
-                                           simd::Backend::kSimd),
-                         [](const auto& info) {
-                           return simd::BackendName(info.param);
-                         });
+                         ::testing::ValuesIn(KernelConfigs()),
+                         [](const auto& info) { return info.param.name; });
+
+/// --- AVX-512 set vs AVX2 set: bitwise equal ---------------------------------
+
+/// Runs `body` under the simd backend with the AVX2 set and then the AVX-512
+/// set pinned, and expects the two results to be the same bits. Skips, with
+/// a visible message, on hosts without AVX-512F.
+class Avx512VsAvx2Test : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (Avx512Kernels() == nullptr) {
+      GTEST_SKIP() << "AVX-512F not available on this CPU: the AVX-512 vs "
+                      "AVX2 bitwise comparisons did not run";
+    }
+  }
+
+  template <typename Body>
+  void ExpectSameBits(Body body, const std::string& where) {
+    auto under = [&body](const KernelOps* set) {
+      ScopedKernelConfig scope({simd::Backend::kSimd, set, set->name});
+      return body();
+    };
+    const auto avx2 = under(Avx2Kernels());
+    const auto avx512 = under(Avx512Kernels());
+    EXPECT_TRUE(SameBits(avx2, avx512)) << where;
+  }
+};
+
+/// Ragged against both tiles (4 x 8 and 8 x 16), across the 128-row block
+/// and the 256-deep panel.
+const int64_t kRaggedRows[] = {1, 7, 8, 9, 17, 130};
+const int64_t kRaggedCols[] = {1, 15, 16, 17, 33};
+const int64_t kDepths[] = {1, 255, 256, 257, 513};
+
+/// No pool, then pools of 1, 2 and 4 threads.
+std::vector<std::unique_ptr<ThreadPool>> TestPools() {
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (int threads : {1, 2, 4}) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  return pools;
+}
+
+std::string PoolName(const ThreadPool* pool) {
+  return " pool=" + std::to_string(pool == nullptr ? 0 : pool->num_threads());
+}
+
+TEST_F(Avx512VsAvx2Test, GemmFamilyBitwiseEqual) {
+  const auto pools = TestPools();
+  for (int64_t m : kRaggedRows) {
+    for (int64_t n : kRaggedCols) {
+      for (int64_t k : kDepths) {
+        const Matrix a = RandomMatrix(m, k, 3000 + m * 7 + k);
+        const Matrix b = RandomMatrix(k, n, 3100 + n * 7 + k);
+        const Matrix at = Transpose(a);
+        const Matrix c0 = RandomMatrix(m, n, 3200 + m + n);
+        for (const auto& pool : pools) {
+          const std::string where = std::to_string(m) + "x" +
+                                    std::to_string(n) + "x" +
+                                    std::to_string(k) + PoolName(pool.get());
+          ExpectSameBits(
+              [&] {
+                Matrix c(m, n);
+                EXPECT_TRUE(Gemm(MatrixView(a), MatrixView(b), &c,
+                                 pool.get())
+                                .ok());
+                return c;
+              },
+              "Gemm " + where);
+          ExpectSameBits(
+              [&] {
+                Matrix c = c0;
+                EXPECT_TRUE(GemmAccumulate(MatrixView(a), MatrixView(b),
+                                           c.data(), n, pool.get())
+                                .ok());
+                return c;
+              },
+              "GemmAccumulate " + where);
+          ExpectSameBits(
+              [&] {
+                Matrix c(m, n);
+                EXPECT_TRUE(GemmTransposeA(MatrixView(at), MatrixView(b), &c,
+                                           pool.get())
+                                .ok());
+                return c;
+              },
+              "GemmTransposeA " + where);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(Avx512VsAvx2Test, SyrkFamilyBitwiseEqual) {
+  const auto pools = TestPools();
+  for (int64_t n : {1, 15, 16, 17, 33, 130, 300}) {
+    for (int64_t k : kDepths) {
+      const Matrix a = RandomMatrix(k, n, 3300 + n * 7 + k);
+      const std::vector<double> means = ColumnMeans(MatrixView(a));
+      for (const auto& pool : pools) {
+        const std::string where = std::to_string(k) + "x" +
+                                  std::to_string(n) + PoolName(pool.get());
+        ExpectSameBits(
+            [&] {
+              Matrix c(n, n);
+              EXPECT_TRUE(Syrk(MatrixView(a), &c, pool.get()).ok());
+              return c;
+            },
+            "Syrk " + where);
+        ExpectSameBits(
+            [&] {
+              Matrix c(n, n);
+              EXPECT_TRUE(
+                  SyrkCentered(MatrixView(a), means.data(), &c, pool.get())
+                      .ok());
+              return c;
+            },
+            "SyrkCentered " + where);
+      }
+    }
+  }
+}
+
+TEST_F(Avx512VsAvx2Test, LeastSquaresQrBitwiseEqual) {
+  const auto pools = TestPools();
+  std::vector<QrCase> cases = PanelBoundaryCases();
+  cases.push_back({1600, 576});  // The medium Q1 design: 575 genes + 1.
+  for (const QrCase& c : cases) {
+    const Matrix a = RandomMatrix(c.m, c.n, 3400 + c.m * 3 + c.n);
+    const std::vector<double> b = RandomVector(c.m, 3500 + c.m);
+    for (const auto& pool : pools) {
+      ExpectSameBits(
+          [&] {
+            ExecContext ctx;
+            ctx.set_pool(pool.get());
+            auto fit = LeastSquaresQr(MatrixView(a), b, &ctx);
+            EXPECT_TRUE(fit.ok());
+            std::vector<double> out = fit->coefficients;
+            out.push_back(fit->residual_norm);
+            out.push_back(fit->r_squared);
+            return out;
+          },
+          "LeastSquaresQr " + std::to_string(c.m) + "x" +
+              std::to_string(c.n) + PoolName(pool.get()));
+    }
+  }
+}
+
+TEST_F(Avx512VsAvx2Test, DenseSingularValuesBitwiseEqual) {
+  const auto pools = TestPools();
+  // Query 4's small and medium shapes, and a ragged one.
+  for (const QrCase& c : {QrCase{400, 190}, QrCase{1600, 575},
+                          QrCase{257, 131}}) {
+    const Matrix a = RandomMatrix(c.m, c.n, 3600 + c.m + c.n);
+    for (const auto& pool : pools) {
+      ExpectSameBits(
+          [&] {
+            ExecContext ctx;
+            ctx.set_pool(pool.get());
+            auto r = DenseSingularValues(MatrixView(a), SvdOptions{}, &ctx);
+            EXPECT_TRUE(r.ok());
+            return r->singular_values;
+          },
+          "DenseSingularValues " + std::to_string(c.m) + "x" +
+              std::to_string(c.n) + PoolName(pool.get()));
+    }
+  }
+}
 
 TEST(SimdDispatchTest, BackendRoundTrips) {
   const simd::Backend prev = simd::SetBackend(simd::Backend::kScalar);
@@ -600,9 +817,51 @@ TEST(SimdDispatchTest, Avx2AvailabilityIsConsistent) {
   if (simd::CpuSupportsAvx2()) {
     ASSERT_NE(Avx2Kernels(), nullptr);
     EXPECT_STREQ(Avx2Kernels()->name, "avx2");
+    EXPECT_EQ(Avx2Kernels()->mr, 4);
+    EXPECT_EQ(Avx2Kernels()->nr, 8);
   } else {
     EXPECT_EQ(Avx2Kernels(), nullptr);
   }
+}
+
+TEST(SimdDispatchTest, Avx512AvailabilityIsConsistent) {
+  // The set exists exactly when the CPU runs AVX-512F (and AVX2, whose dot
+  // it keeps); it is then the simd backend's pick.
+  std::printf("[ INFO     ] avx512f %s; simd backend picks the %s set\n",
+              simd::CpuSupportsAvx512() ? "available" : "absent",
+              [] {
+                const simd::Backend previous =
+                    simd::SetBackend(simd::Backend::kSimd);
+                const char* name = ActiveKernels().name;
+                simd::SetBackend(previous);
+                return name;
+              }());
+  if (simd::CpuSupportsAvx512() && Avx2Kernels() != nullptr) {
+    const KernelOps* avx512 = Avx512Kernels();
+    ASSERT_NE(avx512, nullptr);
+    EXPECT_STREQ(avx512->name, "avx512");
+    EXPECT_EQ(avx512->mr, 8);
+    EXPECT_EQ(avx512->nr, 16);
+    EXPECT_EQ(avx512->dot, Avx2Kernels()->dot);
+    EXPECT_EQ(AvailableKernels().back(), avx512);
+  } else {
+    EXPECT_EQ(Avx512Kernels(), nullptr);
+  }
+}
+
+TEST(SimdDispatchTest, ActiveSetFollowsBackendAndPin) {
+  const simd::Backend previous = simd::SetBackend(simd::Backend::kSimd);
+  EXPECT_EQ(&ActiveKernels(), AvailableKernels().back());
+  for (const KernelOps* ops : AvailableKernels()) {
+    const KernelOps* prior_pin = PinKernels(ops);
+    EXPECT_EQ(&ActiveKernels(), ops);
+    simd::SetBackend(simd::Backend::kScalar);
+    EXPECT_EQ(&ActiveKernels(), &ScalarKernels());
+    simd::SetBackend(simd::Backend::kSimd);
+    PinKernels(prior_pin);
+  }
+  EXPECT_EQ(&ActiveKernels(), AvailableKernels().back());
+  simd::SetBackend(previous);
 }
 
 }  // namespace
